@@ -1,252 +1,40 @@
-(* Append-only checksummed journal.  See journal.mli for the record
-   format and the truncated-tail recovery contract. *)
-
-module E = Dls.Errors
-
-(* Table-driven CRC-32, reflected polynomial 0xEDB88320 (the IEEE
-   variant used by gzip/zlib).  Good enough to catch torn writes and
-   bit rot; this is an integrity check, not an authenticity one. *)
-let crc_table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref (Int32.of_int n) in
-         for _ = 0 to 7 do
-           c :=
-             if Int32.logand !c 1l <> 0l then
-               Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
-             else Int32.shift_right_logical !c 1
-         done;
-         !c))
-
-let crc32 s =
-  let table = Lazy.force crc_table in
-  let c = ref 0xFFFFFFFFl in
-  String.iter
-    (fun ch ->
-      let idx =
-        Int32.to_int (Int32.logand (Int32.logxor !c (Int32.of_int (Char.code ch))) 0xFFl)
-      in
-      c := Int32.logxor table.(idx) (Int32.shift_right_logical !c 8))
-    s;
-  Int32.logxor !c 0xFFFFFFFFl
-
-let payload_crc ~key ~value = crc32 (key ^ "\n" ^ value)
+(* The journal is a replay-once view of a Record_log.  See journal.mli
+   for the contract and record_log.mli for the format. *)
 
 type t = {
-  path : string;
-  mutable fd : Unix.file_descr;
-  sync : bool;
-  lock : Mutex.t;
-  mutable appended : int;
-  mutable compactions : int;
-  mutable closed : bool;
+  log : Record_log.t;
+  appended : int Atomic.t;
+  compactions : int Atomic.t;
 }
 
-let render ~key ~value =
-  Printf.sprintf "rec %08lx %d %d\n%s\n%s\n" (payload_crc ~key ~value)
-    (String.length key) (String.length value) key value
-
-(* Replay: scan [contents], returning the valid records and the byte
-   offset of the first bad (or absent) record.  Boundaries are derived
-   from the lengths in each header, so a single bad record makes
-   everything after it unreachable — we stop there by design. *)
-let scan contents =
-  let len = String.length contents in
-  let records = ref [] in
-  let pos = ref 0 in
-  let good = ref 0 in
-  let bad = ref false in
-  while (not !bad) && !pos < len do
-    match String.index_from_opt contents !pos '\n' with
-    | None -> bad := true
-    | Some eol -> (
-        let header = String.sub contents !pos (eol - !pos) in
-        match String.split_on_char ' ' header with
-        | [ "rec"; crc_hex; klen_s; vlen_s ] -> (
-            match
-              ( int_of_string_opt ("0x" ^ crc_hex),
-                int_of_string_opt klen_s,
-                int_of_string_opt vlen_s )
-            with
-            | Some crc, Some klen, Some vlen
-              when klen >= 0 && vlen >= 0
-                   && eol + 1 + klen + 1 + vlen + 1 <= len
-                   && contents.[eol + 1 + klen] = '\n'
-                   && contents.[eol + 1 + klen + 1 + vlen] = '\n' ->
-                let key = String.sub contents (eol + 1) klen in
-                let value = String.sub contents (eol + 1 + klen + 1) vlen in
-                if Int32.of_int crc = payload_crc ~key ~value then begin
-                  records := (key, value) :: !records;
-                  pos := eol + 1 + klen + 1 + vlen + 1;
-                  good := !pos
-                end
-                else bad := true
-            | _ -> bad := true)
-        | _ -> bad := true)
-  done;
-  (List.rev !records, !good)
-
 let open_ ?(sync = false) path =
-  match
-    let fd = Unix.openfile path [ Unix.O_RDWR; Unix.O_CREAT ] 0o644 in
-    let size = (Unix.fstat fd).Unix.st_size in
-    let contents =
-      let b = Bytes.create size in
-      let rec fill off =
-        if off < size then
-          match Unix.read fd b off (size - off) with
-          | 0 -> off
-          | n -> fill (off + n)
-          | exception Unix.Unix_error (Unix.EINTR, _, _) -> fill off
-        else off
-      in
-      let got = fill 0 in
-      Bytes.sub_string b 0 got
-    in
-    let records, good = scan contents in
-    if good < String.length contents then Unix.ftruncate fd good;
-    ignore (Unix.lseek fd good Unix.SEEK_SET);
-    ( {
-        path;
-        fd;
-        sync;
-        lock = Mutex.create ();
-        appended = 0;
-        compactions = 0;
-        closed = false;
-      },
-      records )
-  with
-  | pair -> Ok pair
-  | exception Unix.Unix_error (e, _, _) ->
-      Error (E.Io_error (Printf.sprintf "%s: %s" path (Unix.error_message e)))
-
-let append t ~key ~value =
-  if String.contains key '\n' || String.contains value '\n' then
-    Error (E.Io_error "journal: record contains a newline")
-  else begin
-    Mutex.lock t.lock;
-    let result =
-      if t.closed then Error (E.Io_error "journal: closed")
-      else
-        let line = render ~key ~value in
-        let bytes = Bytes.of_string line in
-        let len = Bytes.length bytes in
-        let rec write off =
-          if off >= len then Ok ()
-          else
-            match Unix.write t.fd bytes off (len - off) with
-            | n -> write (off + n)
-            | exception Unix.Unix_error (Unix.EINTR, _, _) -> write off
-            | exception Unix.Unix_error (e, _, _) ->
-                Error (E.Io_error ("journal: " ^ Unix.error_message e))
-        in
-        match write 0 with
-        | Ok () ->
-            if t.sync then Unix.fsync t.fd;
-            t.appended <- t.appended + 1;
-            Ok ()
-        | Error _ as e -> e
-    in
-    Mutex.unlock t.lock;
-    result
-  end
-
-let appended t = t.appended
-let compactions t = t.compactions
-
-let size_bytes t =
-  Mutex.lock t.lock;
-  let size =
-    if t.closed then 0
-    else try (Unix.fstat t.fd).Unix.st_size with Unix.Unix_error _ -> 0
+  (* Only the opening scan is replayed; records reported later (our own
+     appends, or another writer's) are not. *)
+  let replay = ref [] and opening = ref true in
+  let sink =
+    {
+      Record_log.record =
+        (fun key _ value -> if !opening then replay := (key, value) :: !replay);
+      reset = (fun () -> replay := []);
+    }
   in
-  Mutex.unlock t.lock;
-  size
+  match Record_log.open_ ~sync path sink with
+  | Error e -> Error e
+  | Ok log ->
+      opening := false;
+      Ok
+        ( { log; appended = Atomic.make 0; compactions = Atomic.make 0 },
+          List.rev !replay )
 
-(* Read the whole file through [fd]. *)
-let read_all fd =
-  let size = (Unix.fstat fd).Unix.st_size in
-  ignore (Unix.lseek fd 0 Unix.SEEK_SET);
-  let b = Bytes.create size in
-  let rec fill off =
-    if off < size then
-      match Unix.read fd b off (size - off) with
-      | 0 -> off
-      | n -> fill (off + n)
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> fill off
-    else off
-  in
-  let got = fill 0 in
-  Bytes.sub_string b 0 got
-
-let write_all fd s =
-  let bytes = Bytes.of_string s in
-  let len = Bytes.length bytes in
-  let rec write off =
-    if off < len then
-      match Unix.write fd bytes off (len - off) with
-      | n -> write (off + n)
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> write off
-  in
-  write 0
-
-(* Rewrite the journal keeping only the latest record of each key that
-   [live] accepts, in the order of each key's last append.  The new
-   contents go to a sibling temp file which is renamed over the journal
-   — a crash mid-compaction leaves either the old file or the new one,
-   both valid.  Serialised against [append] by the same lock, so no
-   record can land between the read and the swap. *)
-let compact t ~live =
-  Mutex.lock t.lock;
-  let result =
-    if t.closed then Error (E.Io_error "journal: closed")
-    else
-      match
-        let contents = read_all t.fd in
-        let records, _good = scan contents in
-        (* Last occurrence per key wins; emit in last-append order. *)
-        let last = Hashtbl.create 64 in
-        List.iteri (fun i (k, v) -> Hashtbl.replace last k (i, v)) records;
-        let kept =
-          Hashtbl.fold
-            (fun k (i, v) acc -> if live k then (i, k, v) :: acc else acc)
-            last []
-        in
-        let kept = List.sort (fun (a, _, _) (b, _, _) -> compare a b) kept in
-        let b = Buffer.create 4096 in
-        List.iter
-          (fun (_, k, v) -> Buffer.add_string b (render ~key:k ~value:v))
-          kept;
-        let tmp = t.path ^ ".compact" in
-        let tmp_fd =
-          Unix.openfile tmp [ Unix.O_RDWR; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
-        in
-        write_all tmp_fd (Buffer.contents b);
-        if t.sync then Unix.fsync tmp_fd;
-        Unix.rename tmp t.path;
-        (try Unix.close t.fd with Unix.Unix_error _ -> ());
-        ignore (Unix.lseek tmp_fd 0 Unix.SEEK_END);
-        t.fd <- tmp_fd;
-        t.compactions <- t.compactions + 1;
-        (String.length contents, Buffer.length b)
-      with
-      | sizes -> Ok sizes
-      | exception Unix.Unix_error (e, _, _) ->
-          Error (E.Io_error ("journal compact: " ^ Unix.error_message e))
-  in
-  Mutex.unlock t.lock;
+let counted counter result =
+  if Result.is_ok result then Atomic.incr counter;
   result
 
-let close t =
-  Mutex.lock t.lock;
-  if not t.closed then begin
-    t.closed <- true;
-    (try Unix.close t.fd with Unix.Unix_error _ -> ())
-  end;
-  Mutex.unlock t.lock
+let append t ~key ~value =
+  counted t.appended (Record_log.append t.log ~key ~value)
 
-(* The record format is shared with {!Store}, which generalises this
-   append-only log into a random-access store. *)
-let render_record = render
-let scan_string = scan
+let compact t ~live = counted t.compactions (Record_log.compact t.log ~live)
+let appended t = Atomic.get t.appended
+let compactions t = Atomic.get t.compactions
+let size_bytes t = Record_log.size_bytes t.log
+let close t = Record_log.close t.log

@@ -7,25 +7,9 @@
     a flat file, and on boot {!open_} replays whatever prefix of the
     file survives into the cache.
 
-    {b Record format} (all byte counts exact, keys and values are the
-    protocol's canonical single-line renderings):
-
-    {v rec <crc32-hex> <klen> <vlen>
-<key bytes>
-<value bytes>
-v}
-
-    The CRC-32 covers [key ^ "\n" ^ value].  A record is accepted only
-    if the header parses, both payloads are present in full with their
-    terminators, and the checksum matches.
-
-    {b Truncated-tail tolerance}: a crash mid-append leaves a partial
-    or corrupt final record.  {!open_} replays records until the first
-    bad one, truncates the file back to the last good boundary, and
-    carries on — a torn tail costs at most the records after it, never
-    the journal.  Corruption {e before} the tail also stops the replay
-    at that point (everything after an unreadable record is
-    unreachable, since record boundaries are length-derived). *)
+    The file is a {!Record_log}: see [record_log.mli] for the record
+    format, the truncated-tail repair and the locking.  A torn tail
+    costs at most the records after it, never the journal. *)
 
 type t
 
@@ -64,17 +48,3 @@ val compact : t -> live:(string -> bool) -> (int * int, Dls.Errors.t) result
 val compactions : t -> int
 
 val close : t -> unit
-
-(** CRC-32 (IEEE 802.3, polynomial 0xEDB88320) of a string — exposed
-    for tests that corrupt records deliberately. *)
-val crc32 : string -> int32
-
-(** The shared record codec — {!Store} generalises this journal's
-    on-disk format into a random-access store, and reuses these rather
-    than re-deriving the framing.  [render_record] is the exact byte
-    sequence {!append} writes; [scan_string s] parses the valid record
-    prefix of [s], returning the [(key, value)] pairs in order plus the
-    byte offset of the first bad (or absent) record. *)
-val render_record : key:string -> value:string -> string
-
-val scan_string : string -> (string * string) list * int

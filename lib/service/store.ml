@@ -1,338 +1,75 @@
-(* Tier-2 solution store: Journal-format records + a byte-position
-   index + cross-handle refresh.  See store.mli for the contract.
-
-   Locking story.  [t.lock] guards every field of one handle.  Writers
-   (add/compact) additionally take [append_guard] — one mutex for the
-   whole process, because POSIX file locks are per-(process, inode) and
-   would not exclude two handles in the same process — and then an OS
-   [lockf] exclusive lock for cross-process exclusion.  A writer
-   re-stats the path *after* acquiring the file lock: if the inode
-   changed (another process compacted, swapping the file by rename), it
-   reopens and retries, so no record is ever written to an unlinked
-   file. *)
-
-module E = Dls.Errors
-
-type entry = { voff : int; vlen : int; crc : int32 }
-
-type t = {
-  path : string;
-  sync : bool;
-  lock : Mutex.t;
-  index : (string, entry) Hashtbl.t;
-  mutable fd : Unix.file_descr;
-  mutable ino : int;
-  mutable scanned : int;  (* bytes absorbed into the index *)
-  mutable hits : int;
-  mutable misses : int;
-  mutable appended : int;
-  mutable compactions : int;
-  mutable closed : bool;
-}
+(* Tier-2 solution store: a key index over a shared Record_log.  See
+   store.mli for the contract and record_log.mli for the format. *)
 
 type stats = { hits : int; misses : int; appended : int; compactions : int }
 
-let append_guard = Mutex.create ()
-
-let io_error ctx e =
-  E.Io_error (Printf.sprintf "store %s: %s" ctx (Unix.error_message e))
-
-let read_exactly fd off len =
-  ignore (Unix.lseek fd off Unix.SEEK_SET);
-  let b = Bytes.create len in
-  let rec fill got =
-    if got < len then
-      match Unix.read fd b got (len - got) with
-      | 0 -> got
-      | n -> fill (got + n)
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> fill got
-    else got
-  in
-  let got = fill 0 in
-  Bytes.sub_string b 0 got
-
-let write_all fd s =
-  let bytes = Bytes.of_string s in
-  let len = Bytes.length bytes in
-  let rec write off =
-    if off < len then
-      match Unix.write fd bytes off (len - off) with
-      | n -> write (off + n)
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> write off
-  in
-  write 0
-
-(* Walk the records of [contents] exactly like [Journal.scan_string],
-   but report each value's absolute byte position ([base] + local
-   offset) so the index can seek straight to it.  Returns the entries
-   in order plus the byte offset just past the last good record. *)
-let scan_entries ~base contents =
-  let records, good = Journal.scan_string contents in
-  let entries = ref [] in
-  let pos = ref 0 in
-  List.iter
-    (fun (key, value) ->
-      let line = Journal.render_record ~key ~value in
-      let header_len =
-        String.length line - String.length key - String.length value - 2
-      in
-      let voff = base + !pos + header_len + String.length key + 1 in
-      entries :=
-        ( key,
-          {
-            voff;
-            vlen = String.length value;
-            crc = Journal.crc32 (key ^ "\n" ^ value);
-          } )
-        :: !entries;
-      pos := !pos + String.length line)
-    records;
-  (List.rev !entries, base + good)
-
-(* Absorb whatever the file has grown (or turned into) since the last
-   look.  With [t.lock] held. *)
-let refresh_locked t =
-  match Unix.stat t.path with
-  | exception Unix.Unix_error (_, _, _) -> ()
-  | st ->
-      if st.Unix.st_ino <> t.ino then begin
-        (* Another process compacted: the path is a fresh inode. *)
-        (try Unix.close t.fd with Unix.Unix_error _ -> ());
-        t.fd <- Unix.openfile t.path [ Unix.O_RDWR; Unix.O_CREAT ] 0o644;
-        t.ino <- (Unix.fstat t.fd).Unix.st_ino;
-        t.scanned <- 0;
-        Hashtbl.reset t.index
-      end;
-      let size = (Unix.fstat t.fd).Unix.st_size in
-      if size > t.scanned then begin
-        let tail = read_exactly t.fd t.scanned (size - t.scanned) in
-        let entries, good = scan_entries ~base:t.scanned tail in
-        List.iter (fun (k, e) -> Hashtbl.replace t.index k e) entries;
-        t.scanned <- good
-      end
-
-let with_lock t f =
-  Mutex.lock t.lock;
-  match f () with
-  | x ->
-      Mutex.unlock t.lock;
-      x
-  | exception e ->
-      Mutex.unlock t.lock;
-      raise e
+type t = {
+  log : Record_log.t;
+  lock : Mutex.t;  (* guards the index and the counters *)
+  index : (string, Record_log.entry) Hashtbl.t;
+  mutable stats : stats;
+}
 
 let open_ ?(sync = false) path =
-  match
-    let fd = Unix.openfile path [ Unix.O_RDWR; Unix.O_CREAT ] 0o644 in
-    let t =
-      {
-        path;
-        sync;
-        lock = Mutex.create ();
-        index = Hashtbl.create 256;
-        fd;
-        ino = (Unix.fstat fd).Unix.st_ino;
-        scanned = 0;
-        hits = 0;
-        misses = 0;
-        appended = 0;
-        compactions = 0;
-        closed = false;
-      }
-    in
-    refresh_locked t;
-    t
-  with
-  | t -> Ok t
-  | exception Unix.Unix_error (e, _, _) ->
-      Error (E.Io_error (Printf.sprintf "%s: %s" path (Unix.error_message e)))
+  let index = Hashtbl.create 256 in
+  let sink =
+    {
+      Record_log.record = (fun key entry _ -> Hashtbl.replace index key entry);
+      reset = (fun () -> Hashtbl.reset index);
+    }
+  in
+  Result.map
+    (fun log ->
+      let stats = { hits = 0; misses = 0; appended = 0; compactions = 0 } in
+      { log; lock = Mutex.create (); index; stats })
+    (Record_log.open_ ~sync path sink)
+
+(* The log reports records to the index through the sink, so every log
+   call that may scan runs under [t.lock]. *)
+let with_lock t f = Mutex.protect t.lock f
 
 let find t key =
   with_lock t (fun () ->
-      if t.closed then None
-      else begin
-        refresh_locked t;
-        match Hashtbl.find_opt t.index key with
-        | None ->
-            t.misses <- t.misses + 1;
-            None
-        | Some e ->
-            let value = read_exactly t.fd e.voff e.vlen in
-            if
-              String.length value = e.vlen
-              && Journal.crc32 (key ^ "\n" ^ value) = e.crc
-            then begin
-              t.hits <- t.hits + 1;
-              Some value
-            end
-            else begin
-              (* Unreadable on disk right now — never serve it. *)
-              Hashtbl.remove t.index key;
-              t.misses <- t.misses + 1;
-              None
-            end
-      end)
+      Record_log.refresh t.log;
+      match Option.bind (Hashtbl.find_opt t.index key) (Record_log.read t.log key) with
+      | Some _ as value ->
+          t.stats <- { t.stats with hits = t.stats.hits + 1 };
+          value
+      | None ->
+          (* Absent, or unreadable on disk right now — never serve it. *)
+          Hashtbl.remove t.index key;
+          t.stats <- { t.stats with misses = t.stats.misses + 1 };
+          None)
 
 let mem t key =
   with_lock t (fun () ->
-      if t.closed then false
-      else begin
-        refresh_locked t;
-        Hashtbl.mem t.index key
-      end)
+      Record_log.refresh t.log;
+      Hashtbl.mem t.index key)
 
 let length t = with_lock t (fun () -> Hashtbl.length t.index)
-
-let size_bytes t =
-  with_lock t (fun () ->
-      if t.closed then 0
-      else try (Unix.fstat t.fd).Unix.st_size with Unix.Unix_error _ -> 0)
-
-(* Take the OS file lock (whole file, blocking).  lockf is relative to
-   the file position, so park at 0 first. *)
-let flock_exclusive fd = ignore (Unix.lseek fd 0 Unix.SEEK_SET); Unix.lockf fd Unix.F_LOCK 0
-let flock_release fd = ignore (Unix.lseek fd 0 Unix.SEEK_SET); Unix.lockf fd Unix.F_ULOCK 0
-
-(* Run [f] with the process mutex + file lock held, re-opening first if
-   a concurrent compaction swapped the inode under us.  [t.lock] is
-   held by the caller. *)
-let rec with_file_lock ?(tries = 5) t f =
-  flock_exclusive t.fd;
-  let st = try Some (Unix.stat t.path) with Unix.Unix_error _ -> None in
-  match st with
-  | Some st when st.Unix.st_ino <> t.ino && tries > 0 ->
-      flock_release t.fd;
-      refresh_locked t;
-      with_file_lock ~tries:(tries - 1) t f
-  | _ -> (
-      match f () with
-      | x ->
-          flock_release t.fd;
-          x
-      | exception e ->
-          (try flock_release t.fd with Unix.Unix_error _ -> ());
-          raise e)
+let size_bytes t = Record_log.size_bytes t.log
 
 let add t ~key ~value =
-  if String.contains key '\n' || String.contains value '\n' then
-    Error (E.Io_error "store: record contains a newline")
-  else
-    with_lock t (fun () ->
-        if t.closed then Error (E.Io_error "store: closed")
-        else begin
-          refresh_locked t;
-          if Hashtbl.mem t.index key then Ok ()
-          else begin
-            Mutex.lock append_guard;
-            let result =
-              match
-                with_file_lock t (fun () ->
-                    (* Under the exclusive lock no writer is mid-append,
-                       so bytes past the scanned boundary are a torn
-                       record from a crashed writer.  Truncate them
-                       (Journal.open_'s policy), or the new record would
-                       land beyond the tear where no scanner reaches. *)
-                    refresh_locked t;
-                    let size = (Unix.fstat t.fd).Unix.st_size in
-                    if size > t.scanned then Unix.ftruncate t.fd t.scanned;
-                    let line = Journal.render_record ~key ~value in
-                    let at = Unix.lseek t.fd 0 Unix.SEEK_END in
-                    write_all t.fd line;
-                    if t.sync then Unix.fsync t.fd;
-                    let header_len =
-                      String.length line - String.length key
-                      - String.length value - 2
-                    in
-                    Hashtbl.replace t.index key
-                      {
-                        voff = at + header_len + String.length key + 1;
-                        vlen = String.length value;
-                        crc = Journal.crc32 (key ^ "\n" ^ value);
-                      };
-                    t.appended <- t.appended + 1)
-              with
-              | () -> Ok ()
-              | exception Unix.Unix_error (e, _, _) ->
-                  Error (io_error "append" e)
-            in
-            Mutex.unlock append_guard;
-            result
-          end
-        end)
+  with_lock t (fun () ->
+      Record_log.refresh t.log;
+      if Hashtbl.mem t.index key then Ok ()
+      else
+        let result = Record_log.append t.log ~key ~value in
+        if Result.is_ok result then
+          t.stats <- { t.stats with appended = t.stats.appended + 1 };
+        result)
 
 let compact t ?(live = fun _ -> true) () =
   with_lock t (fun () ->
-      if t.closed then Error (E.Io_error "store: closed")
-      else begin
-        Mutex.lock append_guard;
-        let result =
-          match
-            with_file_lock t (fun () ->
-                refresh_locked t;
-                let size = (Unix.fstat t.fd).Unix.st_size in
-                let contents = read_exactly t.fd 0 size in
-                let records, _ = Journal.scan_string contents in
-                let last = Hashtbl.create 64 in
-                List.iteri
-                  (fun i (k, v) -> Hashtbl.replace last k (i, v))
-                  records;
-                let kept =
-                  Hashtbl.fold
-                    (fun k (i, v) acc ->
-                      if live k then (i, k, v) :: acc else acc)
-                    last []
-                in
-                let kept =
-                  List.sort (fun (a, _, _) (b, _, _) -> compare a b) kept
-                in
-                let b = Buffer.create 4096 in
-                List.iter
-                  (fun (_, k, v) ->
-                    Buffer.add_string b (Journal.render_record ~key:k ~value:v))
-                  kept;
-                let tmp = t.path ^ ".compact" in
-                let tmp_fd =
-                  Unix.openfile tmp
-                    [ Unix.O_RDWR; Unix.O_CREAT; Unix.O_TRUNC ]
-                    0o644
-                in
-                write_all tmp_fd (Buffer.contents b);
-                if t.sync then Unix.fsync tmp_fd;
-                Unix.rename tmp t.path;
-                (* The old fd still holds the file lock some waiter may
-                   be queued on; swap our handle to the new inode — the
-                   waiter will see the inode change and retry. *)
-                let old = t.fd in
-                t.fd <- tmp_fd;
-                t.ino <- (Unix.fstat tmp_fd).Unix.st_ino;
-                t.scanned <- 0;
-                Hashtbl.reset t.index;
-                refresh_locked t;
-                t.compactions <- t.compactions + 1;
-                (try flock_release old with Unix.Unix_error _ -> ());
-                (try Unix.close old with Unix.Unix_error _ -> ());
-                (size, Buffer.length b))
-            with
-            | sizes -> Ok sizes
-            | exception Unix.Unix_error (e, _, _) ->
-                Error (io_error "compact" e)
-          in
-          Mutex.unlock append_guard;
-          result
-      end)
+      let result = Record_log.compact t.log ~live in
+      if Result.is_ok result then
+        t.stats <- { t.stats with compactions = t.stats.compactions + 1 };
+      result)
 
-let stats t =
-  with_lock t (fun () ->
-      {
-        hits = t.hits;
-        misses = t.misses;
-        appended = t.appended;
-        compactions = t.compactions;
-      })
+let stats t = with_lock t (fun () -> t.stats)
 
+(* A closed store indexes nothing, so it finds nothing. *)
 let close t =
   with_lock t (fun () ->
-      if not t.closed then begin
-        t.closed <- true;
-        try Unix.close t.fd with Unix.Unix_error _ -> ()
-      end)
+      Record_log.close t.log;
+      Hashtbl.reset t.index)

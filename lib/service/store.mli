@@ -1,41 +1,24 @@
 (** Shared persistent solution store — cache tier 2.
 
     Tier 1 is each shard's in-memory response LRU; this module is the
-    tier below it: a single file of {!Journal}-format CRC-checked
-    records (canonical request key → rendered response line) that {e
-    every} shard of a fleet opens, consults on an LRU miss before
-    solving, and appends freshly computed solutions to.  Because keys
-    are canonical request lines and evaluations are pure, a record
-    written by one shard is the bit-identical answer any other shard
-    would have computed — so a solution computed once, anywhere, is a
-    disk read everywhere else, across shard restarts and ring reshapes.
+    tier below it: one {!Record_log} of canonical request key →
+    rendered response line that {e every} shard of a fleet opens,
+    consults on an LRU miss before solving, and appends freshly
+    computed solutions to.  Because keys are canonical request lines
+    and evaluations are pure, a record written by one shard is the
+    bit-identical answer any other shard would have computed — so a
+    solution computed once, anywhere, is a disk read everywhere else,
+    across shard restarts and ring reshapes.
 
-    Unlike the journal (a replay-once append log owned by one daemon),
-    the store is {b random access} and {b shared}:
-
-    - an in-memory index maps each key to its record's byte position;
-      {!find} seeks and reads just that record, re-verifying its CRC;
-    - {!find} first {e refreshes}: records appended by other handles —
-      including other processes — since the last look are absorbed by
-      scanning only the new tail, and a swapped inode (another process
-      ran {!compact}) triggers a clean reopen;
-    - {!add} appends under an OS file lock (plus a process-wide mutex,
-      since POSIX locks do not exclude within one process), so
-      concurrent writers cannot tear each other's records; a key
-      already present is {e not} re-appended — the store holds one
-      record per key modulo races, and duplicate records are harmless
-      (last wins in every reader);
-    - {!compact} rewrites the file keeping the latest record per key
-      (optionally filtered by [live]), swapping it in by rename so a
-      crash leaves a valid store.
-
-    A torn or corrupt record is never served: the scanner stops at the
-    first bad record exactly like the journal replay, and {!find}
-    re-checks the CRC on every read.  A torn tail is repaired at the
-    next {!add}: under the exclusive file lock the writer truncates the
-    file back to the last good record boundary before appending, so new
-    records never land beyond a tear where no scanner would reach
-    them. *)
+    The format, locking, torn-tail repair and compaction are the log's
+    (see [record_log.mli]).  The store adds an in-memory index from key
+    to record position, refreshed from the log's new tail before every
+    probe so other handles' appends and compactions — including other
+    processes' — show up.  A key already indexed is {e not} re-appended:
+    the store holds one record per key modulo races, and duplicate
+    records are harmless (last wins in every reader).  A torn or
+    corrupt record is never served: the scan stops at the first bad
+    record, and {!find} re-checks the CRC on every read. *)
 
 type t
 
@@ -46,8 +29,8 @@ type stats = {
   compactions : int;  (** {!compact} runs through this handle *)
 }
 
-(** [open_ ?sync path] opens (creating if absent) the store and indexes
-    its valid record prefix.  With [~sync:true] (default false) every
+(** [open_ ?sync path] opens (creating if absent) the store, indexes
+    its valid record prefix and truncates any bad tail.  With [~sync:true] (default false) every
     {!add} is followed by [fsync]. *)
 val open_ : ?sync:bool -> string -> (t, Dls.Errors.t) result
 
@@ -57,8 +40,9 @@ val open_ : ?sync:bool -> string -> (t, Dls.Errors.t) result
 val find : t -> string -> string option
 
 (** [add t ~key ~value] makes [key → value] durable unless the key is
-    already stored.  [key] and [value] must be newline-free.  Truncates
-    any torn tail left by a crashed writer before appending. *)
+    already stored.  [key] and [value] must be newline-free.  Like every
+    append to the log, it first truncates any torn tail left by a
+    crashed writer. *)
 val add : t -> key:string -> value:string -> (unit, Dls.Errors.t) result
 
 (** [mem t key] probes the index without reading or counting. *)

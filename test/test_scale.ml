@@ -380,6 +380,183 @@ let test_server_journal_budget () =
   Sys.remove jpath
 
 (* ------------------------------------------------------------------ *)
+(* Record log: the on-disk format shared by Journal and Store          *)
+(* ------------------------------------------------------------------ *)
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let journal_open_exn path =
+  match Service.Journal.open_ path with
+  | Ok pair -> pair
+  | Error e -> Alcotest.failf "journal open: %s" (Dls.Errors.to_string e)
+
+let journal_append_exn j ~key ~value =
+  match Service.Journal.append j ~key ~value with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "journal append: %s" (Dls.Errors.to_string e)
+
+(* The fixture holds, in order: four good records (the first key
+   appears twice), a record whose key has one byte flipped so only its
+   CRC disagrees, a good record stranded behind that corruption, and a
+   torn tail.  The expected bytes below were pinned against the format
+   as first shipped, so a drift in framing, checksum, repair or
+   compaction order fails here. *)
+let golden_fixture () =
+  let path = tmp_file ".log" in
+  Out_channel.with_open_bin path (fun oc ->
+      output_string oc (read_file "fixtures/record_log_golden.log"));
+  path
+
+let golden_replay =
+  [
+    ("solve 1:1:1/2,1:2:1/2", "ok rho=3/4 alpha=1/2,1/4");
+    ("check 1:1:1/2", "ok check valid=true violations=0");
+    ("solve 1:1:1/2,1:2:1/2", "ok rho=3/4 alpha=1/2,1/4 makespan=4/3");
+    ("simulate 2:1:1", "ok makespan=3");
+  ]
+
+let golden_good_prefix = 259
+
+let golden_journal_compacted =
+  "rec 88760585 21 37\n\
+   solve 1:1:1/2,1:2:1/2\n\
+   ok rho=3/4 alpha=1/2,1/4 makespan=4/3\n\
+   rec 830c01d4 14 13\n\
+   simulate 2:1:1\n\
+   ok makespan=3\n"
+
+let golden_store_compacted =
+  "rec 8d03b48b 13 32\n\
+   check 1:1:1/2\n\
+   ok check valid=true violations=0\n\
+   rec 88760585 21 37\n\
+   solve 1:1:1/2,1:2:1/2\n\
+   ok rho=3/4 alpha=1/2,1/4 makespan=4/3\n\
+   rec 830c01d4 14 13\n\
+   simulate 2:1:1\n\
+   ok makespan=3\n"
+
+let test_record_log_golden () =
+  let pairs = Alcotest.(list (pair string string)) in
+  (* Journal: replay stops at the corrupted record and the file is cut
+     back to the last good boundary; compaction keeps the latest live
+     record per key in last-append order. *)
+  let path = golden_fixture () in
+  let j, replay = journal_open_exn path in
+  Alcotest.check pairs "journal replay" golden_replay replay;
+  check_int "journal truncated to the last good boundary" golden_good_prefix
+    (String.length (read_file path));
+  (match Service.Journal.compact j ~live:(fun k -> k <> "check 1:1:1/2") with
+  | Ok (before, after) ->
+    check_int "journal bytes before compaction" golden_good_prefix before;
+    check_int "journal bytes after compaction"
+      (String.length golden_journal_compacted) after
+  | Error e -> Alcotest.failf "journal compact: %s" (Dls.Errors.to_string e));
+  check_str "journal compaction bytes" golden_journal_compacted (read_file path);
+  Service.Journal.close j;
+  Sys.remove path;
+  (* Store: the last record per key wins; nothing at or past the
+     corruption is served. *)
+  let path = golden_fixture () in
+  let s = open_store_exn path in
+  List.iter
+    (fun (key, expected) ->
+      check ("store find " ^ key) true (Service.Store.find s key = expected))
+    [
+      ("solve 1:1:1/2,1:2:1/2", Some "ok rho=3/4 alpha=1/2,1/4 makespan=4/3");
+      ("check 1:1:1/2", Some "ok check valid=true violations=0");
+      ("simulate 2:1:1", Some "ok makespan=3");
+      ("solve 2:1:1,1:3:1/2", None);
+      ("Xolve 2:1:1,1:3:1/2", None);
+      ("solve 9:9:9", None);
+    ];
+  check_int "store indexes the good prefix" 3 (Service.Store.length s);
+  (match Service.Store.compact s () with
+  | Ok (_, after) ->
+    check_int "store bytes after compaction"
+      (String.length golden_store_compacted) after
+  | Error e -> Alcotest.failf "store compact: %s" (Dls.Errors.to_string e));
+  check_str "store compaction bytes" golden_store_compacted (read_file path);
+  Service.Store.close s;
+  Sys.remove path;
+  (* What Journal.append writes is the fixture's good prefix, byte for
+     byte, and Store.find reads it. *)
+  let path = tmp_file ".log" in
+  let j, _ = journal_open_exn path in
+  List.iter (fun (key, value) -> journal_append_exn j ~key ~value) golden_replay;
+  Service.Journal.close j;
+  check_str "journal appends render the fixture bytes"
+    (String.sub (read_file "fixtures/record_log_golden.log") 0
+       golden_good_prefix)
+    (read_file path);
+  let s = open_store_exn path in
+  check "store reads a journal-written file" true
+    (Service.Store.find s "solve 1:1:1/2,1:2:1/2"
+    = Some "ok rho=3/4 alpha=1/2,1/4 makespan=4/3");
+  Service.Store.close s;
+  Sys.remove path;
+  (* What Store.add writes replays through Journal.open_. *)
+  let path = tmp_file ".log" in
+  let s = open_store_exn path in
+  List.iter (fun (key, value) -> add_exn s ~key ~value) golden_replay;
+  Service.Store.close s;
+  let j, replay = journal_open_exn path in
+  Service.Journal.close j;
+  Alcotest.check pairs "journal replays a store-written file"
+    (List.filteri (fun i _ -> i <> 2) golden_replay)
+    replay;
+  Sys.remove path
+
+(* A compaction whose temp file cannot be written must fail cleanly:
+   an [Error], no leaked descriptor, no temp entry left behind, and a
+   log that still appends and reads back every record.  Pointing the
+   temp path at /dev/full makes every write fail with ENOSPC. *)
+let test_record_log_compact_failure () =
+  let fd_count () = Array.length (Sys.readdir "/proc/self/fd") in
+  let jam path = Unix.symlink "/dev/full" (path ^ ".compact") in
+  let temp_gone path =
+    match Unix.lstat (path ^ ".compact") with
+    | _ -> false
+    | exception Unix.Unix_error (Unix.ENOENT, _, _) -> true
+  in
+  let records = [ ("k1", "v1"); ("k2", "v2"); ("k1", "v3") ] in
+  let path = tmp_file ".journal" in
+  let j, _ = journal_open_exn path in
+  List.iter (fun (key, value) -> journal_append_exn j ~key ~value) records;
+  jam path;
+  let fds = fd_count () in
+  check "journal compaction fails" true
+    (Result.is_error (Service.Journal.compact j ~live:(fun _ -> true)));
+  check_int "journal compaction leaks no fd" fds (fd_count ());
+  check "journal temp file removed" true (temp_gone path);
+  journal_append_exn j ~key:"k3" ~value:"v4";
+  Service.Journal.close j;
+  let j, replay = journal_open_exn path in
+  Service.Journal.close j;
+  Alcotest.(check (list (pair string string)))
+    "journal replays every record" (records @ [ ("k3", "v4") ]) replay;
+  Sys.remove path;
+  let path = tmp_file ".store" in
+  let s = open_store_exn path in
+  add_exn s ~key:"k1" ~value:"v1";
+  add_exn s ~key:"k2" ~value:"v2";
+  jam path;
+  let fds = fd_count () in
+  check "store compaction fails" true
+    (Result.is_error (Service.Store.compact s ()));
+  check_int "store compaction leaks no fd" fds (fd_count ());
+  check "store temp file removed" true (temp_gone path);
+  add_exn s ~key:"k3" ~value:"v3";
+  Service.Store.close s;
+  let s = open_store_exn path in
+  List.iter
+    (fun (key, value) ->
+      check ("store keeps " ^ key) true (Service.Store.find s key = Some value))
+    [ ("k1", "v1"); ("k2", "v2"); ("k3", "v3") ];
+  Service.Store.close s;
+  Sys.remove path
+
+(* ------------------------------------------------------------------ *)
 (* Server + tier-2 store                                               *)
 (* ------------------------------------------------------------------ *)
 
@@ -743,6 +920,13 @@ let () =
             test_journal_compact;
           Alcotest.test_case "server compacts on byte budget" `Quick
             test_server_journal_budget;
+        ] );
+      ( "record log",
+        [
+          Alcotest.test_case "golden on-disk format" `Quick
+            test_record_log_golden;
+          Alcotest.test_case "failed compaction leaks nothing" `Quick
+            test_record_log_compact_failure;
         ] );
       ( "tiering",
         [

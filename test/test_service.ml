@@ -1090,7 +1090,7 @@ let test_journal_crc_corruption () =
 let test_journal_crc32_vector () =
   (* IEEE 802.3 check value: crc32("123456789") = 0xCBF43926. *)
   check_str "crc32 known-answer" "cbf43926"
-    (Printf.sprintf "%08lx" (J.crc32 "123456789"))
+    (Printf.sprintf "%08lx" (Service.Record_log.crc32 "123456789"))
 
 (* ------------------------------------------------------------------ *)
 (* Graceful degradation: shed, brownout, warm restart                  *)
