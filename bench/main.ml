@@ -1944,13 +1944,18 @@ let main quick skip_micro only jobs solvers_only solvers_json bench_k warmup
     if not (run_scale_bench ~quick ~json_path:scale_json ~gate:scale_gate) then
       exit 1
   end
+  else if solvers_only then begin
+    if
+      not
+        (run_solver_bench ~quick ~k:bench_k ~warmup ~json_path:solvers_json
+           ~gate:solvers_gate)
+    then exit 1
+  end
   else begin
-    if not solvers_only then begin
-      run_experiments ~quick ~jobs ~only;
-      if not skip_micro then begin
-        run_bechamel ~name:"components" (micro_tests ~jobs) ~quota_s:0.5;
-        run_bechamel ~name:"figures" (figure_tests ~jobs) ~quota_s:1.0
-      end
+    run_experiments ~quick ~jobs ~only;
+    if not skip_micro then begin
+      run_bechamel ~name:"components" (micro_tests ~jobs) ~quota_s:0.5;
+      run_bechamel ~name:"figures" (figure_tests ~jobs) ~quota_s:1.0
     end;
     let gate_pass =
       run_solver_bench ~quick ~k:bench_k ~warmup ~json_path:solvers_json

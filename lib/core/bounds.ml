@@ -115,22 +115,27 @@ let row_knapsack_float costs caps =
 
 let scenario_bound_float ?(model = Lp_model.One_port) (s : Scenario.t) =
   let q = Scenario.num_enrolled s in
-  let wk k = Platform.get s.Scenario.platform s.Scenario.sigma1.(k) in
-  let c k = Q.to_float (wk k).Platform.c in
-  let w k = Q.to_float (wk k).Platform.w in
-  let d k = Q.to_float (wk k).Platform.d in
+  (* Each parameter converted once: this screen runs on every candidate
+     of an enumeration. *)
+  let field f =
+    Array.init q (fun k ->
+        Q.to_float (f (Platform.get s.Scenario.platform s.Scenario.sigma1.(k))))
+  in
+  let c = field (fun wk -> wk.Platform.c) in
+  let w = field (fun wk -> wk.Platform.w) in
+  let d = field (fun wk -> wk.Platform.d) in
   let return_pos =
     Array.init q (fun k -> Scenario.return_position s s.Scenario.sigma1.(k))
   in
-  let caps = Array.init q (fun k -> 1.0 /. (c k +. w k +. d k)) in
+  let caps = Array.init q (fun k -> 1.0 /. (c.(k) +. w.(k) +. d.(k))) in
   let best = ref infinity in
   for k = 0 to q - 1 do
     let costs =
       Array.init q (fun j ->
           let acc = ref 0.0 in
-          if j <= k then acc := !acc +. c j;
-          if return_pos.(j) >= return_pos.(k) then acc := !acc +. d j;
-          if j = k then acc := !acc +. w j;
+          if j <= k then acc := !acc +. c.(j);
+          if return_pos.(j) >= return_pos.(k) then acc := !acc +. d.(j);
+          if j = k then acc := !acc +. w.(j);
           !acc)
     in
     best := Float.min !best (row_knapsack_float costs caps)
@@ -138,7 +143,7 @@ let scenario_bound_float ?(model = Lp_model.One_port) (s : Scenario.t) =
   (match model with
   | Lp_model.Two_port -> ()
   | Lp_model.One_port ->
-    let costs = Array.init q (fun j -> c j +. d j) in
+    let costs = Array.init q (fun j -> c.(j) +. d.(j)) in
     best := Float.min !best (row_knapsack_float costs caps));
   !best
 

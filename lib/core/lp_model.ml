@@ -172,10 +172,9 @@ let solve_exn ?model s = Errors.get_exn (solve ?model s)
    restricted to the basis columns and accepts only when every
    non-basic reduced cost is strictly negative — proving the optimal
    point unique, and therefore equal to the cold solve's.  Anything
-   else (defective basis, float stall, alternate optima, integer
-   overflow in the certificate) falls back to the canonical exact
-   solve, so the result is bit-identical to {!solve} by
-   construction. *)
+   else (defective basis, float stall, alternate optima) falls back to
+   the canonical exact solve, so the result is bit-identical to
+   {!solve} by construction. *)
 let solve_fast ?(model = One_port) ?warm ?(max_float_pivots = 100_000)
     (s : Scenario.t) =
   let p = problem model s in
@@ -266,20 +265,33 @@ let scenario_key model (s : Scenario.t) =
    syntactic on the canonical key, so it never needs the scenarios
    themselves. *)
 let scenario_key_distance a b =
+  (* Nearly every probe made during an enumeration meets keys with other
+     permutations: compare that tail ("|sigma1|sigma2") first, without
+     allocating, and split only the keys that pass. *)
+  let tail_start k =
+    match String.rindex_opt k '|' with
+    | Some i when i > 0 -> Option.value (String.rindex_from_opt k (i - 1) '|') ~default:0
+    | _ -> 0
+  in
+  let ta = tail_start a and tb = tail_start b in
+  let len = String.length a - ta in
+  let rec same_tail d = d = len || (a.[ta + d] = b.[tb + d] && same_tail (d + 1)) in
   let split4 k =
     match String.split_on_char '|' k with
     | [ model; workers; s1; s2 ] -> Some (model, workers, s1, s2)
     | _ -> None
   in
-  match (split4 a, split4 b) with
-  | Some (ma, wa, s1a, s2a), Some (mb, wb, s1b, s2b)
-    when ma = mb && s1a = s1b && s2a = s2b ->
-    let fa = String.split_on_char ';' wa in
-    let fb = String.split_on_char ';' wb in
-    if List.length fa <> List.length fb then None
-    else
-      Some (List.fold_left2 (fun d x y -> if x = y then d else d + 1) 0 fa fb)
-  | _ -> None
+  if len <> String.length b - tb || not (same_tail 0) then None
+  else
+    match (split4 a, split4 b) with
+    | Some (ma, wa, s1a, s2a), Some (mb, wb, s1b, s2b)
+      when ma = mb && s1a = s1b && s2a = s2b ->
+      let fa = String.split_on_char ';' wa in
+      let fb = String.split_on_char ';' wb in
+      if List.length fa <> List.length fb then None
+      else
+        Some (List.fold_left2 (fun d x y -> if x = y then d else d + 1) 0 fa fb)
+    | _ -> None
 
 (* ------------------------------------------------------------------ *)
 (* Incremental re-solve counters (same discipline as the pipeline

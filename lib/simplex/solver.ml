@@ -61,11 +61,10 @@ let solve_result p =
    The arithmetic is fraction-free: each row of the basis system is
    scaled to integers (lcm of denominators) and eliminated with the
    Montante/Bareiss one-step method, which keeps every intermediate
-   value an integer minor of the scaled matrix and needs no gcds.  All
-   products are overflow-checked native ints; any overflow, singularity
-   or failed tolerance simply rejects the basis (returns [None]), and
-   the caller falls back to the canonical cold solve — so the routine
-   can only ever trade speed, never correctness.
+   value an integer minor of the scaled matrix and needs no gcds.  A
+   singular basis or a failed tolerance simply rejects it (returns
+   [None]), and the caller falls back to the canonical cold solve — so
+   the routine can only ever trade speed, never correctness.
 
    Acceptance requires, in exact arithmetic:
    - primal feasibility: [B x_B = b] with [x_B >= 0];
@@ -88,19 +87,15 @@ exception Cert_reject
 
 module I = Numeric.Integer
 
-(* Overflow-checked native multiply, used only while scaling input rows
-   (the elimination itself runs on big integers). *)
-let mul_chk a b =
-  let r = a * b in
-  if a <> 0 && (r / a <> b || (a = -1 && b = min_int)) then raise Cert_reject;
-  r
+(* Exact quotient; most divisors here are 1 (integer coefficients, the
+   first elimination step), so skip the division for them. *)
+let quo a b = if I.equal b I.one then a else fst (I.divmod a b)
 
-let rec gcd_int a b = if b = 0 then a else gcd_int b (a mod b)
+let gcd a b = I.of_natural (I.gcd a b)
+let lcm a b = if I.equal b I.one then a else I.mul (quo a (gcd a b)) b
 
-let to_int_chk i =
-  match I.to_int_opt i with
-  | Some v when v <> min_int -> v
-  | _ -> raise Cert_reject
+(* [q] times [l], for [l] a multiple of [q]'s denominator. *)
+let scale_to l q = I.mul (Q.num q) (quo l (Q.den q))
 
 (* Solve the [m x m] system given by [entry] (row, col) and [rhs] with
    fraction-free Gauss-Jordan elimination (Montante/Bareiss): each row is
@@ -108,32 +103,24 @@ let to_int_chk i =
    then eliminated with the one-step identity
    [a_ij := (piv * a_ij - a_ik * a_kj) / prev_piv], whose divisions are
    exact — every intermediate value is a minor of the scaled matrix, so
-   no rational normalization (and no gcd) ever runs.  The minors exceed
-   the native word for the larger scheduling bases, hence big-integer
-   arithmetic; entries stay at a couple of limbs, far cheaper than the
-   equivalent tableau pivoting in [Q].
+   no rational normalization (and no gcd) ever runs.  The minors can
+   exceed the native word for the larger scheduling bases, hence
+   [Integer] arithmetic, which stays on native ints while values fit
+   and is far cheaper than the equivalent tableau pivoting in [Q].
 
    Returns [(numerators, denominator)]: after the last step every pivot
    entry equals the same determinant value, so one denominator serves
-   all components.  Raises [Cert_reject] on a singular matrix or on
-   input rationals too large to scale into native ints. *)
+   all components.  Raises [Cert_reject] on a singular matrix. *)
 let montante_solve m entry rhs =
   let mat =
     Array.init m (fun i ->
         let row = Array.init (m + 1) (fun j -> if j < m then entry i j else rhs i) in
-        let l =
-          Array.fold_left
-            (fun acc q ->
-              let d = to_int_chk (Q.den q) in
-              mul_chk (acc / gcd_int acc d) d)
-            1 row
+        let l = Array.fold_left (fun acc q -> lcm acc (Q.den q)) I.one row in
+        let scaled = Array.map (scale_to l) row in
+        let g =
+          Array.fold_left (fun acc v -> if I.equal acc I.one then acc else gcd acc v) I.zero scaled
         in
-        let scaled =
-          Array.map (fun q -> mul_chk (to_int_chk (Q.num q)) (l / to_int_chk (Q.den q))) row
-        in
-        let g = Array.fold_left (fun acc v -> gcd_int acc (abs v)) 0 scaled in
-        let g = if g > 1 then g else 1 in
-        Array.map (fun v -> I.of_int (v / g)) scaled)
+        if I.sign g = 0 then scaled else Array.map (fun v -> quo v g) scaled)
   in
   let rowof = Array.make m (-1) in
   let claimed = Array.make m false in
@@ -158,11 +145,13 @@ let montante_solve m entry rhs =
         let f = mat.(i).(k) in
         let fz = I.is_zero f in
         for j = 0 to m do
-          if j <> k then
-            mat.(i).(j) <-
-              (let scaled = I.mul piv mat.(i).(j) in
-               let v = if fz then scaled else I.sub scaled (I.mul f mat.(r).(j)) in
-               fst (I.divmod v !prev))
+          let a = mat.(i).(j) in
+          (* Zeros stay zero in a row with nothing to eliminate. *)
+          if j <> k && not (fz && I.is_zero a) then begin
+            let scaled = I.mul piv a in
+            let v = if fz then scaled else I.sub scaled (I.mul f mat.(r).(j)) in
+            mat.(i).(j) <- quo v !prev
+          end
         done;
         mat.(i).(k) <- I.zero
       end
@@ -306,23 +295,14 @@ let certify_basis (p : Problem.t) ~basis =
        [sign(l * num(c_j)/den(c_j) * yden - sum_i ys_i * (l * a_ij))
         * sign(yden) < 0]. *)
     let reduced_sign j =
-      let l = ref (to_int_chk (Q.den (obj j))) in
+      let l = ref (Q.den (obj j)) in
       for i = 0 to m - 1 do
-        let d = to_int_chk (Q.den (col i j)) in
-        l := mul_chk (!l / gcd_int !l d) d
+        l := lcm !l (Q.den (col i j))
       done;
-      let l = !l in
-      let cj = obj j in
-      let acc =
-        ref (I.mul (I.of_int (mul_chk (to_int_chk (Q.num cj)) (l / to_int_chk (Q.den cj)))) yden)
-      in
+      let acc = ref (I.mul (scale_to !l (obj j)) yden) in
       for i = 0 to m - 1 do
         let a = col i j in
-        if Q.sign a <> 0 then
-          acc :=
-            I.sub !acc
-              (I.mul ys.(i)
-                 (I.of_int (mul_chk (to_int_chk (Q.num a)) (l / to_int_chk (Q.den a)))))
+        if Q.sign a <> 0 then acc := I.sub !acc (I.mul ys.(i) (scale_to !l a))
       done;
       I.sign !acc * ysign
     in

@@ -71,9 +71,9 @@ val solve_with_basis : Problem.t -> basis:int array -> warm_outcome
     coordinate with a non-zero objective), with [pivots = 0].
 
     [None] means "no certificate", never "no optimum": the basis may be
-    wrong, the optimum non-unique, the problem shape unsupported (only
-    all-[<=] programs with non-negative right-hand sides are handled),
-    or an intermediate value may have left the native integer range.
+    wrong, the optimum non-unique, or the problem shape unsupported
+    (only all-[<=] programs with non-negative right-hand sides are
+    handled).
     Callers must fall back to {!solve}.  A cheap float screen rejects
     hopeless bases before any exact arithmetic is spent. *)
 val certify_basis : Problem.t -> basis:int array -> solution option

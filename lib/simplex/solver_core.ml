@@ -286,16 +286,16 @@ module Make (F : Field.S) = struct
       true
     with Not_found -> false
 
-  (* Shared candidate-basis validation: [m] distinct structural
-     (original or slack) columns — artificials never appear in a
-     feasible basis of the real problem. *)
-  let basis_shape_ok t ~structural ~m basis =
+  (* Shared candidate-basis validation: [m] distinct columns.  Artificial
+     columns are admitted here so that a cold solve's own terminal basis
+     installs; [artificials_inert] then checks them. *)
+  let basis_shape_ok t ~m basis =
     Array.length basis = m
     &&
     let seen = Array.make t.total false in
     Array.for_all
       (fun c ->
-        c >= 0 && c < structural
+        c >= 0 && c < t.total
         &&
         if seen.(c) then false
         else begin
@@ -304,15 +304,36 @@ module Make (F : Field.S) = struct
         end)
       basis
 
+  (* An installed basic artificial is harmless only on a row that reads
+     [0 = 0] over the structural columns: no allowed pivot can touch that
+     row, so the artificial stays basic at zero.  This is exactly where a
+     cold solve leaves one, on a redundant equality row that phase 1
+     cannot drive its artificial out of.  Any other basic artificial
+     would be a variable of the auxiliary problem, not of the real one. *)
+  let artificials_inert t ~structural =
+    let inert = ref true in
+    Array.iteri
+      (fun i bv ->
+        if bv >= structural then begin
+          let row = t.rows.(i) in
+          if F.sign row.(t.total) <> 0 then inert := false;
+          for j = 0 to structural - 1 do
+            if F.sign row.(j) <> 0 then inert := false
+          done
+        end)
+      t.basis;
+    !inert
+
   let solve_with_basis ?(max_pivots = 100_000) (p : Problem.t) ~basis =
     let pr = prepare ~max_pivots p in
     let t = pr.t in
     let m = Array.length t.rows in
     let structural = pr.n + pr.n_slack in
-    if not (basis_shape_ok t ~structural ~m basis) then Warm_rejected
+    if not (basis_shape_ok t ~m basis) then Warm_rejected
     else
       try
-        if not (install_basis t basis) then Warm_rejected
+        if not (install_basis t basis && artificials_inert t ~structural) then
+          Warm_rejected
         else begin
           (* Exact primal feasibility of the candidate basis. *)
           let feasible = ref true in
@@ -371,10 +392,10 @@ module Make (F : Field.S) = struct
     let pr = prepare ~max_pivots:(max_pivots + m) p in
     let t = pr.t in
     let structural = pr.n + pr.n_slack in
-    if not (basis_shape_ok t ~structural ~m basis) then None
+    if not (basis_shape_ok t ~m basis) then None
     else
       try
-        if not (install_basis t basis) then None
+        if not (install_basis t basis && artificials_inert t ~structural) then None
         else begin
           for j = structural to t.total - 1 do
             t.allowed.(j) <- false

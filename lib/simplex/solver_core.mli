@@ -42,8 +42,9 @@ module Make (F : Field.S) : sig
     | Warm_unbounded
     | Warm_rejected
         (** the candidate basis was unusable: wrong length, out-of-range
-            or duplicate columns, artificial columns, linearly dependent
-            columns, or a primally infeasible basic point *)
+            or duplicate columns, an artificial column basic on a row
+            that is not [0 = 0] over the structural columns, linearly
+            dependent columns, or a primally infeasible basic point *)
     | Warm_stalled  (** the pivot cap was reached *)
 
   (** [solve ?max_pivots p] solves the (rational-typed) problem with

@@ -430,6 +430,21 @@ let test_rat_of_string_errors () =
       with Invalid_argument _ | Failure _ | Division_by_zero -> ())
     [ ""; "abc"; "1/"; "/2"; "1/0"; "--3"; "1.2.3" ]
 
+let test_rat_exponent_bound () =
+  (* The cost of 10^e grows quadratically with e, and the text can come
+     from a peer: an exponent past the bound is refused up front. *)
+  Alcotest.check rat "1e1000 accepted" (Q.of_integer (Z.pow (Z.of_int 10) 1000))
+    (Q.of_string "1e1000");
+  Alcotest.check rat "1e-1000 accepted" (Q.inv (Q.of_integer (Z.pow (Z.of_int 10) 1000)))
+    (Q.of_string "1e-1000");
+  let t0 = Sys.time () in
+  List.iter
+    (fun s ->
+      Alcotest.check_raises s (Invalid_argument "Rational.of_string: exponent out of range")
+        (fun () -> ignore (Q.of_string s)))
+    [ "1e1001"; "1e-1001"; "1e9999999"; "2.5E-9999999" ];
+  Alcotest.(check bool) "rejected quickly" true (Sys.time () -. t0 < 1.0)
+
 let edge_cases =
   [
     Alcotest.test_case "int min_int edges" `Quick test_int_min_int_edges;
@@ -440,6 +455,154 @@ let edge_cases =
     Alcotest.test_case "rat floor_int overflow" `Quick test_rat_floor_int_overflow;
     Alcotest.test_case "rat infix" `Quick test_rat_infix_coverage;
     Alcotest.test_case "rat of_string errors" `Quick test_rat_of_string_errors;
+    Alcotest.test_case "rat exponent bound" `Quick test_rat_exponent_bound;
+  ]
+
+(* ------------------------------------------------------------------ *)
+(* Small values vs limbs                                               *)
+(* ------------------------------------------------------------------ *)
+
+(* The reference: a sign and a [Natural] magnitude, every operation done
+   on limbs.  [Integer] and [Rational] keep values that fit a native int
+   as native ints and fall back to limbs on overflow; whichever form
+   they pick, they must compute exactly this. *)
+module Ref = struct
+  type z = int * N.t
+
+  let mk s m : z = if N.is_zero m then (0, N.zero) else (s, m)
+  let neg ((s, m) : z) : z = (-s, m)
+
+  let add ((s1, m1) as a : z) ((s2, m2) as b : z) =
+    if s1 = 0 then b
+    else if s2 = 0 then a
+    else if s1 = s2 then (s1, N.add m1 m2)
+    else begin
+      let c = N.compare m1 m2 in
+      if c = 0 then (0, N.zero)
+      else if c > 0 then (s1, N.sub m1 m2)
+      else (s2, N.sub m2 m1)
+    end
+
+  let sub a b = add a (neg b)
+  let mul ((s1, m1) : z) ((s2, m2) : z) = mk (s1 * s2) (N.mul m1 m2)
+
+  let divmod ((s1, m1) : z) ((s2, m2) : z) =
+    let q, r = N.divmod m1 m2 in
+    (mk (s1 * s2) q, mk s1 r)
+
+  let compare ((s1, m1) : z) ((s2, m2) : z) =
+    if s1 <> s2 then Stdlib.compare s1 s2 else s1 * N.compare m1 m2
+
+  let to_string ((s, m) : z) = (if s < 0 then "-" else "") ^ N.to_string m
+
+  (* [n/d] with a positive denominator, in lowest terms. *)
+  type q = z * N.t
+
+  let qmake ((s, m) : z) (ds, dm) : q =
+    if s = 0 then ((0, N.zero), N.one)
+    else begin
+      let g = N.gcd m dm in
+      ((s * ds, fst (N.divmod m g)), fst (N.divmod dm g))
+    end
+
+  let qadd ((n1, d1) : q) ((n2, d2) : q) =
+    qmake (add (mul n1 (1, d2)) (mul n2 (1, d1))) (1, N.mul d1 d2)
+
+  let qsub (n1, d1) (n2, d2) = qadd (n1, d1) (neg n2, d2)
+  let qmul ((n1, d1) : q) ((n2, d2) : q) = qmake (mul n1 n2) (1, N.mul d1 d2)
+
+  let qdiv ((n1, d1) : q) (((s2, m2), d2) : q) =
+    qmake (mul n1 (1, d2)) (s2, N.mul d1 m2)
+
+  let qcompare ((n1, d1) : q) ((n2, d2) : q) = compare (mul n1 (1, d2)) (mul n2 (1, d1))
+
+  let qto_string ((n, d) : q) =
+    if N.equal d N.one then to_string n else to_string n ^ "/" ^ N.to_string d
+end
+
+(* Magnitudes that straddle the small/limb boundary: around 2^31 (where
+   the unchecked product stops being safe), sqrt(2^63), max_int and
+   2^62 = |min_int|, plus tiny values and multi-limb ones. *)
+let gen_edge_mag =
+  let open QCheck2.Gen in
+  let around c =
+    map (fun d -> if d >= 0 then N.add c (N.of_int d) else N.sub c (N.of_int (-d)))
+      (int_range (-3) 3)
+  in
+  let two k = N.shift_left N.one k in
+  oneof
+    [
+      around (two 31);
+      around (N.of_int 3037000499);
+      around (N.of_int max_int);
+      around (two 62);
+      map N.of_int (int_range 0 1000);
+      map N.of_int (int_bound max_int);
+      gen_natural 40;
+    ]
+
+let gen_edge_z =
+  let open QCheck2.Gen in
+  map2 (fun m negative -> Ref.mk (if negative then -1 else 1) m) gen_edge_mag bool
+
+let gen_edge_q =
+  let open QCheck2.Gen in
+  map2 (fun n d -> Ref.qmake n (1, N.add d N.one)) gen_edge_z gen_edge_mag
+
+let z_of_ref ((s, m) : Ref.z) = Z.make s m
+let q_of_ref ((n, d) : Ref.q) = Q.make (z_of_ref n) (Z.of_natural d)
+
+(* Same value as the reference, in the one canonical form. *)
+let z_agrees z ((s, m) as r : Ref.z) =
+  Z.sign z = s && N.equal (Z.magnitude z) m && z = z_of_ref r
+
+let q_agrees q ((n, d) as r : Ref.q) =
+  z_agrees (Q.num q) n && z_agrees (Q.den q) (1, d) && q = q_of_ref r
+
+let small_props =
+  let open QCheck2.Gen in
+  let z2 = pair gen_edge_z gen_edge_z and q2 = pair gen_edge_q gen_edge_q in
+  [
+    prop ~count:1000 "int: small/limb agrees with limbs" z2 (fun (ra, rb) ->
+        let a = z_of_ref ra and b = z_of_ref rb in
+        z_agrees (Z.add a b) (Ref.add ra rb)
+        && z_agrees (Z.sub a b) (Ref.sub ra rb)
+        && z_agrees (Z.mul a b) (Ref.mul ra rb)
+        && Z.compare a b = Ref.compare ra rb
+        && N.equal (Z.gcd a b) (N.gcd (snd ra) (snd rb))
+        && Z.to_string a = Ref.to_string ra
+        && z_agrees (Z.of_string (Ref.to_string ra)) ra
+        && (fst rb = 0
+           ||
+           let q, r = Z.divmod a b and rq, rr = Ref.divmod ra rb in
+           z_agrees q rq && z_agrees r rr));
+    prop ~count:1000 "rat: small/limb agrees with limbs" q2 (fun (ra, rb) ->
+        let a = q_of_ref ra and b = q_of_ref rb in
+        q_agrees (Q.add a b) (Ref.qadd ra rb)
+        && q_agrees (Q.sub a b) (Ref.qsub ra rb)
+        && q_agrees (Q.mul a b) (Ref.qmul ra rb)
+        && (Q.is_zero b || q_agrees (Q.div a b) (Ref.qdiv ra rb))
+        && Q.compare a b = Ref.qcompare ra rb
+        && Q.to_string a = Ref.qto_string ra
+        && q_agrees (Q.of_string (Ref.qto_string ra)) ra);
+    prop ~count:1000 "int: representation is canonical" z2 (fun (ra, rb) ->
+        let a = z_of_ref ra and b = z_of_ref rb in
+        (a = b) = Z.equal a b
+        && Z.sub (Z.add a b) b = a
+        && ((not (Z.equal a b)) || Hashtbl.hash a = Hashtbl.hash b));
+    prop ~count:1000 "rat: representation is canonical" q2 (fun (ra, rb) ->
+        let a = q_of_ref ra and b = q_of_ref rb in
+        (a = b) = Q.equal a b
+        && Q.sub (Q.add a b) b = a
+        && ((not (Q.equal a b)) || Hashtbl.hash a = Hashtbl.hash b));
+    prop ~count:1000 "of_int n = of_string (string_of_int n)"
+      (oneof [ int; oneofl [ min_int; max_int; min_int + 1; -max_int; 1 lsl 31; -(1 lsl 31) ] ])
+      (fun n ->
+        Z.of_int n = Z.of_string (string_of_int n)
+        && Q.of_int n = Q.of_string (string_of_int n)
+        && Z.to_string (Z.of_int n) = string_of_int n
+        && Q.to_string (Q.of_int n) = string_of_int n
+        && Z.to_int_opt (Z.of_int n) = Some n);
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -493,4 +656,5 @@ let () =
         ] );
       ("rational.props", rat_props);
       ("edge_cases", edge_cases);
+      ("small.props", small_props);
     ]

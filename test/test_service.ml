@@ -245,6 +245,26 @@ let test_request_error_positions () =
   expect_parse_error ~col:7 "stats now";
   expect_parse_error ~col:1 ""
 
+let test_huge_exponent_rejected () =
+  (* A decimal exponent costs time quadratic in its size, so a 12-byte
+     token from a peer must be refused up front, as the same typed parse
+     error as any other bad rational, not computed. *)
+  let t0 = Unix.gettimeofday () in
+  List.iter
+    (fun (line, col, token) ->
+      match P.parse_request ~line:1 line with
+      | Error (Dls.Errors.Parse_error { col = c; msg; _ }) ->
+        check_int (line ^ ": col") col c;
+        check_str (line ^ ": msg") (Printf.sprintf "not a rational: %S" token) msg
+      | Ok _ -> Alcotest.failf "%S parsed" line
+      | Error e ->
+        Alcotest.failf "%S: expected a parse error, got %s" line (Dls.Errors.to_string e))
+    [
+      ("solve 1e9999999:1:1", 7, "1e9999999");
+      ("solve 1:1:1 load=1e-9999999", 13, "1e-9999999");
+    ];
+  Alcotest.(check bool) "rejected quickly" true (Unix.gettimeofday () -. t0 < 1.0)
+
 let test_parser_garbage_never_raises () =
   let rng = Random.State.make [| 2026; 8; 6; 5 |] in
   let alphabet =
@@ -1589,6 +1609,8 @@ let () =
           Alcotest.test_case "request round trip" `Quick test_request_roundtrip;
           Alcotest.test_case "response round trip" `Quick test_response_roundtrip;
           Alcotest.test_case "error positions" `Quick test_request_error_positions;
+          Alcotest.test_case "huge exponent rejected" `Quick
+            test_huge_exponent_rejected;
           Alcotest.test_case "garbage never raises" `Quick
             test_parser_garbage_never_raises;
           Alcotest.test_case "non-finite floats" `Quick test_float_nonfinite;

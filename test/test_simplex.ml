@@ -451,6 +451,47 @@ let test_warm_start_recovers_from_suboptimal_basis () =
   | S.Warm_optimal (s', _) -> Alcotest.check rat "value" (qq 11 5) s'.S.value
   | _ -> Alcotest.fail "expected warm optimal"
 
+let test_warm_start_redundant_equalities () =
+  (* A redundant equality row keeps its artificial basic at zero in the
+     cold solve's terminal basis (phase 1 cannot drive it out).  That
+     basis must still install as a warm start and land on the same
+     optimum. *)
+  let cases =
+    [
+      ("max -2x s.t. 0x = 0, -4x <= 9",
+       lp P.Maximize [| -2 |] [ ([| 0 |], P.Eq, 0); ([| -4 |], P.Le, 9) ]);
+      ("min -5x s.t. 5x = 5, 4x = 4, 2x <= 8, -x <= 9",
+       lp P.Minimize [| -5 |]
+         [ ([| 5 |], P.Eq, 5); ([| 4 |], P.Eq, 4); ([| 2 |], P.Le, 8); ([| -1 |], P.Le, 9) ]);
+      ("min -3x-4y s.t. 4y <= 9, -2x+4y >= 7, 0 = 0",
+       lp P.Minimize [| -3; -4 |]
+         [ ([| 0; 4 |], P.Le, 9); ([| -2; 4 |], P.Ge, 7); ([| 0; 0 |], P.Eq, 0) ]);
+      ("min -4x s.t. x = 6, 0x = 0, -5x <= 2, 0x <= 9",
+       lp P.Minimize [| -4 |]
+         [ ([| 1 |], P.Eq, 6); ([| 0 |], P.Eq, 0); ([| -5 |], P.Le, 2); ([| 0 |], P.Le, 9) ]);
+    ]
+  in
+  List.iter
+    (fun (name, p) ->
+      let s = S.solve_exn p in
+      match S.solve_with_basis p ~basis:s.S.basis with
+      | S.Warm_optimal (s', unique) ->
+        Alcotest.check rat (name ^ ": value") s.S.value s'.S.value;
+        if unique then
+          Alcotest.(check bool) (name ^ ": point") true
+            (Array.for_all2 Q.equal s.S.point s'.S.point)
+      | S.Warm_rejected -> Alcotest.failf "%s: own basis rejected" name
+      | S.Warm_unbounded -> Alcotest.failf "%s: unbounded" name)
+    cases
+
+let test_warm_start_rejects_live_artificial () =
+  (* An artificial may stay basic only on a [0 = 0] row: on x + y = 2 it
+     would stand for a violated constraint. *)
+  let p = lp P.Maximize [| 1; 1 |] [ ([| 1; 1 |], P.Eq, 2); ([| 1; 0 |], P.Le, 1) ] in
+  match S.solve_with_basis p ~basis:[| 3; 2 |] with
+  | S.Warm_rejected -> ()
+  | _ -> Alcotest.fail "basic artificial on a live row accepted"
+
 let test_float_stall_cap () =
   (* A one-pivot cap stalls the float solver on a problem needing more;
      the fast pipeline turns this into an exact fallback. *)
@@ -649,6 +690,10 @@ let () =
             test_warm_start_alternate_optima;
           Alcotest.test_case "suboptimal basis" `Quick
             test_warm_start_recovers_from_suboptimal_basis;
+          Alcotest.test_case "redundant equality rows" `Quick
+            test_warm_start_redundant_equalities;
+          Alcotest.test_case "live artificial rejected" `Quick
+            test_warm_start_rejects_live_artificial;
           Alcotest.test_case "float stall cap" `Quick test_float_stall_cap;
           prop_lifted_basis_certifies;
           prop_warm_start_any_valid_basis;
