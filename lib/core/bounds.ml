@@ -95,56 +95,64 @@ let scenario_bound ?(model = Lp_model.One_port) (s : Scenario.t) =
    either direction are harmless: a float bound that looks too high just
    skips the exact confirmation (the LP is solved as if never pruned), a
    float bound that looks too low wastes one exact bound computation. *)
-let row_knapsack_float costs caps =
+let row_knapsack_float costs caps idx =
   let n = Array.length costs in
-  let idx = Array.init n Fun.id in
+  for j = 0 to n - 1 do
+    idx.(j) <- j
+  done;
   Array.sort (fun a b -> Float.compare costs.(a) costs.(b)) idx;
   let budget = ref 1.0 in
   let total = ref 0.0 in
-  Array.iter
-    (fun j ->
-      let cost = costs.(j) in
-      if cost <= 0.0 then total := !total +. caps.(j)
-      else if !budget > 0.0 then begin
-        let take = Float.min caps.(j) (!budget /. cost) in
-        total := !total +. take;
-        budget := !budget -. (take *. cost)
-      end)
-    idx;
+  (* A loop, not a closure: the float accumulators stay unboxed. *)
+  for r = 0 to n - 1 do
+    let j = idx.(r) in
+    let cost = costs.(j) in
+    if cost <= 0.0 then total := !total +. caps.(j)
+    else if !budget > 0.0 then begin
+      let take = Float.min caps.(j) (!budget /. cost) in
+      total := !total +. take;
+      budget := !budget -. (take *. cost)
+    end
+  done;
   !total
 
 let scenario_bound_float ?(model = Lp_model.One_port) (s : Scenario.t) =
   let q = Scenario.num_enrolled s in
-  (* Each parameter converted once: this screen runs on every candidate
-     of an enumeration. *)
-  let field f =
-    Array.init q (fun k ->
-        Q.to_float (f (Platform.get s.Scenario.platform s.Scenario.sigma1.(k))))
-  in
-  let c = field (fun wk -> wk.Platform.c) in
-  let w = field (fun wk -> wk.Platform.w) in
-  let d = field (fun wk -> wk.Platform.d) in
-  let return_pos =
-    Array.init q (fun k -> Scenario.return_position s s.Scenario.sigma1.(k))
-  in
+  (* Each parameter converted once, and one cost row and one sort buffer
+     reused for every row: this screen runs on every candidate of an
+     enumeration. *)
+  let c = Array.make q 0.0 and w = Array.make q 0.0 and d = Array.make q 0.0 in
+  let return_of = Array.make (Platform.size s.Scenario.platform) 0 in
+  Array.iteri (fun pos i -> return_of.(i) <- pos) s.Scenario.sigma2;
+  let return_pos = Array.make q 0 in
+  Array.iteri
+    (fun k i ->
+      let wk = Platform.get s.Scenario.platform i in
+      c.(k) <- Q.to_float wk.Platform.c;
+      w.(k) <- Q.to_float wk.Platform.w;
+      d.(k) <- Q.to_float wk.Platform.d;
+      return_pos.(k) <- return_of.(i))
+    s.Scenario.sigma1;
   let caps = Array.init q (fun k -> 1.0 /. (c.(k) +. w.(k) +. d.(k))) in
+  let costs = Array.make q 0.0 and idx = Array.make q 0 in
   let best = ref infinity in
   for k = 0 to q - 1 do
-    let costs =
-      Array.init q (fun j ->
-          let acc = ref 0.0 in
-          if j <= k then acc := !acc +. c.(j);
-          if return_pos.(j) >= return_pos.(k) then acc := !acc +. d.(j);
-          if j = k then acc := !acc +. w.(j);
-          !acc)
-    in
-    best := Float.min !best (row_knapsack_float costs caps)
+    for j = 0 to q - 1 do
+      let acc = ref 0.0 in
+      if j <= k then acc := !acc +. c.(j);
+      if return_pos.(j) >= return_pos.(k) then acc := !acc +. d.(j);
+      if j = k then acc := !acc +. w.(j);
+      costs.(j) <- !acc
+    done;
+    best := Float.min !best (row_knapsack_float costs caps idx)
   done;
   (match model with
   | Lp_model.Two_port -> ()
   | Lp_model.One_port ->
-    let costs = Array.init q (fun j -> c.(j) +. d.(j)) in
-    best := Float.min !best (row_knapsack_float costs caps));
+    for j = 0 to q - 1 do
+      costs.(j) <- c.(j) +. d.(j)
+    done;
+    best := Float.min !best (row_knapsack_float costs caps idx));
   !best
 
 let prefix_bound ?(model = Lp_model.One_port) ~discipline platform ~prefix

@@ -72,8 +72,7 @@ let problem model (s : Scenario.t) =
   let nvars = 2 * q in
   let names =
     Array.init nvars (fun v ->
-        if v < q then Printf.sprintf "alpha_%s" (wk v).Platform.name
-        else Printf.sprintf "x_%s" (wk (v - q)).Platform.name)
+        if v < q then "alpha_" ^ (wk v).Platform.name else "x_" ^ (wk (v - q)).Platform.name)
   in
   let objective =
     Array.init nvars (fun v -> if v < q then Q.one else Q.zero)
@@ -127,23 +126,31 @@ let accept model (s : Scenario.t) p (sol : Simplex.Solver.solution) =
        split between them depends on the pivot path; the gap depends only
        on [alpha], which keeps the two solver pipelines bit-identical. *)
     let idle = Array.make n Q.zero in
-    let ret_pos =
-      Array.map (fun i -> Scenario.return_position s i) s.Scenario.sigma1
-    in
+    let wk i = Platform.get s.Scenario.platform i in
+    let q = Array.length s.Scenario.sigma1 in
+    (* [sent.(k)]: send time of the first [k + 1] chunks in sigma1 order;
+       [returned.(t)]: return time of the results from return position
+       [t] on.  The gap of the worker in sigma1 slot [k] is
+       [1 - sent.(k) - returned.(its return position) - alpha w]. *)
+    let sent = Array.make q Q.zero in
+    let acc = ref Q.zero in
     Array.iteri
       (fun k i ->
-        if Q.sign alpha.(i) > 0 then begin
-          let gap = ref Q.one in
-          Array.iteri
-            (fun j ij ->
-              let w = Platform.get s.Scenario.platform ij in
-              if j <= k then gap := Q.sub !gap (Q.mul alpha.(ij) w.Platform.c);
-              if ret_pos.(j) >= ret_pos.(k) then
-                gap := Q.sub !gap (Q.mul alpha.(ij) w.Platform.d))
-            s.Scenario.sigma1;
-          let w = Platform.get s.Scenario.platform i in
-          idle.(i) <- Q.sub !gap (Q.mul alpha.(i) w.Platform.w)
-        end)
+        acc := Q.add !acc (Q.mul alpha.(i) (wk i).Platform.c);
+        sent.(k) <- !acc)
+      s.Scenario.sigma1;
+    let returned = Array.make (q + 1) Q.zero in
+    for t = q - 1 downto 0 do
+      let i = s.Scenario.sigma2.(t) in
+      returned.(t) <- Q.add returned.(t + 1) (Q.mul alpha.(i) (wk i).Platform.d)
+    done;
+    Array.iteri
+      (fun k i ->
+        if Q.sign alpha.(i) > 0 then
+          idle.(i) <-
+            Q.sub
+              (Q.sub (Q.sub Q.one sent.(k)) returned.(Scenario.return_position s i))
+              (Q.mul alpha.(i) (wk i).Platform.w))
       s.Scenario.sigma1;
     Ok
       {
@@ -264,34 +271,37 @@ let scenario_key model (s : Scenario.t) =
    semantics, so a cached basis cannot even be installed).  Purely
    syntactic on the canonical key, so it never needs the scenarios
    themselves. *)
-let scenario_key_distance a b =
+let tail_start k =
+  match String.rindex_opt k '|' with
+  | Some i when i > 0 -> Option.value (String.rindex_from_opt k (i - 1) '|') ~default:0
+  | _ -> 0
+
+let scenario_key_distance a =
   (* Nearly every probe made during an enumeration meets keys with other
      permutations: compare that tail ("|sigma1|sigma2") first, without
-     allocating, and split only the keys that pass. *)
-  let tail_start k =
-    match String.rindex_opt k '|' with
-    | Some i when i > 0 -> Option.value (String.rindex_from_opt k (i - 1) '|') ~default:0
-    | _ -> 0
-  in
-  let ta = tail_start a and tb = tail_start b in
+     allocating, and split only the keys that pass.  [a]'s tail is found
+     once per probe, not once per cache entry. *)
+  let ta = tail_start a in
   let len = String.length a - ta in
-  let rec same_tail d = d = len || (a.[ta + d] = b.[tb + d] && same_tail (d + 1)) in
-  let split4 k =
-    match String.split_on_char '|' k with
-    | [ model; workers; s1; s2 ] -> Some (model, workers, s1, s2)
-    | _ -> None
-  in
-  if len <> String.length b - tb || not (same_tail 0) then None
-  else
-    match (split4 a, split4 b) with
-    | Some (ma, wa, s1a, s2a), Some (mb, wb, s1b, s2b)
-      when ma = mb && s1a = s1b && s2a = s2b ->
-      let fa = String.split_on_char ';' wa in
-      let fb = String.split_on_char ';' wb in
-      if List.length fa <> List.length fb then None
-      else
-        Some (List.fold_left2 (fun d x y -> if x = y then d else d + 1) 0 fa fb)
-    | _ -> None
+  fun b ->
+    let tb = tail_start b in
+    let rec same_tail d = d = len || (a.[ta + d] = b.[tb + d] && same_tail (d + 1)) in
+    let split4 k =
+      match String.split_on_char '|' k with
+      | [ model; workers; s1; s2 ] -> Some (model, workers, s1, s2)
+      | _ -> None
+    in
+    if len <> String.length b - tb || not (same_tail 0) then None
+    else
+      match (split4 a, split4 b) with
+      | Some (ma, wa, s1a, s2a), Some (mb, wb, s1b, s2b)
+        when ma = mb && s1a = s1b && s2a = s2b ->
+        let fa = String.split_on_char ';' wa in
+        let fb = String.split_on_char ';' wb in
+        if List.length fa <> List.length fb then None
+        else
+          Some (List.fold_left2 (fun d x y -> if x = y then d else d + 1) 0 fa fb)
+      | _ -> None
 
 (* ------------------------------------------------------------------ *)
 (* Incremental re-solve counters (same discipline as the pipeline

@@ -71,6 +71,10 @@ let to_int_opt a =
     if b.sign < 0 && Natural.equal b.mag two_62 then Some min_int else None
   end
 
+let to_int a =
+  if is_small a then to_small a
+  else match to_int_opt a with Some n -> n | None -> invalid_arg "Integer.to_int: too large"
+
 let to_float a =
   if is_small a then float_of_int (to_small a)
   else
@@ -130,6 +134,18 @@ let mul a b =
     | exception Checked.Overflow -> mul_slow a b
   else mul_slow a b
 
+(* Below 2^30 in magnitude, [a b - c d] stays below 2^61: no check. *)
+let below_2_30 x = (x + (1 lsl 30)) land lnot ((1 lsl 31) - 1) = 0
+
+let cross a b c d =
+  if is_small a && is_small b && is_small c && is_small d then begin
+    let a' = to_small a and b' = to_small b and c' = to_small c and d' = to_small d in
+    if below_2_30 a' && below_2_30 b' && below_2_30 c' && below_2_30 d' then
+      small ((a' * b') - (c' * d'))
+    else sub (mul a b) (mul c d)
+  end
+  else sub (mul a b) (mul c d)
+
 let divmod a b =
   if is_zero b then raise Division_by_zero;
   if is_small a && is_small b then
@@ -144,6 +160,18 @@ let divmod a b =
 let gcd a b =
   if is_small a && is_small b then Natural.of_int (Checked.gcd (to_small a) (to_small b))
   else Natural.gcd (view a).mag (view b).mag
+
+let gcd_integer a b =
+  if is_small a && is_small b then small (Checked.gcd (to_small a) (to_small b))
+  else of_natural (Natural.gcd (view a).mag (view b).mag)
+
+let divexact a b =
+  if is_zero b then raise Division_by_zero;
+  if is_small a && is_small b then small (to_small a / to_small b)
+  else begin
+    let a = view a and b = view b in
+    norm { sign = a.sign * b.sign; mag = fst (Natural.divmod a.mag b.mag) }
+  end
 
 let pow a k =
   if k < 0 then invalid_arg "Integer.pow: negative exponent";

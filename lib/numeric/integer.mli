@@ -12,6 +12,11 @@ val minus_one : t
 
 val of_int : int -> t
 val to_int_opt : t -> int option
+
+(** [to_int a] is [a] as an [int]; unlike {!to_int_opt} it allocates
+    nothing.
+    @raise Invalid_argument when [a] does not fit. *)
+val to_int : t -> int
 val to_float : t -> float
 
 (** [of_natural n] embeds a natural number. *)
@@ -52,8 +57,22 @@ val mul : t -> t -> t
     @raise Division_by_zero if [b] is zero. *)
 val divmod : t -> t -> t * t
 
+(** [cross a b c d] is [a b - c d], the update of fraction-free
+    elimination; on operands below 2^30 in magnitude it runs on native
+    ints with no overflow check and allocates nothing. *)
+val cross : t -> t -> t -> t -> t
+
 (** [gcd a b] is the non-negative greatest common divisor of [|a|], [|b|]. *)
 val gcd : t -> t -> Natural.t
+
+(** [gcd_integer a b] is {!gcd} as an integer; on small operands it
+    allocates nothing. *)
+val gcd_integer : t -> t -> t
+
+(** [divexact a b] is [a / b] when [b] divides [a] (the result is
+    unspecified otherwise); on small operands it allocates nothing.
+    @raise Division_by_zero if [b] is zero. *)
+val divexact : t -> t -> t
 
 val pow : t -> int -> t
 

@@ -7,15 +7,13 @@ module Clock = Parallel.Clock
 
 type reader = {
   fd : Unix.file_descr;
-  buf : Buffer.t;  (* bytes received but not yet delivered as a line *)
-  chunk : Bytes.t;  (* scratch for Unix.read *)
+  mutable buf : Bytes.t;  (* [buf[0, len)]: received, not yet delivered *)
+  mutable len : int;
   mutable scanned : int;  (* prefix of [buf] known to contain no '\n' *)
 }
 
 let chunk_size = 4096
-
-let reader fd =
-  { fd; buf = Buffer.create 256; chunk = Bytes.create chunk_size; scanned = 0 }
+let reader fd = { fd; buf = Bytes.create chunk_size; len = 0; scanned = 0 }
 
 type read_result = Line of string | Eof | Eof_mid_line | Deadline
 
@@ -28,23 +26,36 @@ let closed_errno = function
       true
   | _ -> false
 
-(* Extract the first complete line from [r.buf], if any, using
-   [r.scanned] to avoid rescanning the same prefix on every arrival of
-   a tiny chunk (the byte-at-a-time case would otherwise be O(n^2)). *)
+(* Extract the first complete line from [r.buf], if any.  The scan
+   starts at [r.scanned], so no prefix is searched twice (the
+   byte-at-a-time case would otherwise be O(n^2)), and only the
+   delivered line and the remainder behind it are copied: a long line
+   arriving chunk by chunk costs time and allocation linear in its
+   length. *)
 let take_line r =
-  let s = Buffer.contents r.buf in
-  let n = String.length s in
-  match String.index_from_opt s r.scanned '\n' with
+  let rec newline i =
+    if i >= r.len then None else if Bytes.get r.buf i = '\n' then Some i else newline (i + 1)
+  in
+  match newline r.scanned with
   | None ->
-      r.scanned <- n;
+      r.scanned <- r.len;
       None
   | Some i ->
-      let stop = if i > 0 && s.[i - 1] = '\r' then i - 1 else i in
-      let line = String.sub s 0 stop in
-      Buffer.clear r.buf;
-      Buffer.add_substring r.buf s (i + 1) (n - i - 1);
+      let stop = if i > 0 && Bytes.get r.buf (i - 1) = '\r' then i - 1 else i in
+      let line = Bytes.sub_string r.buf 0 stop in
+      let rest = r.len - i - 1 in
+      Bytes.blit r.buf (i + 1) r.buf 0 rest;
+      r.len <- rest;
       r.scanned <- 0;
       Some line
+
+(* Room for one more chunk at the end of [r.buf], doubling it. *)
+let reserve r =
+  if r.len + chunk_size > Bytes.length r.buf then begin
+    let grown = Bytes.create (max (2 * Bytes.length r.buf) (r.len + chunk_size)) in
+    Bytes.blit r.buf 0 grown 0 r.len;
+    r.buf <- grown
+  end
 
 (* Wait until [fd] is readable or [until] (monotonic, from Clock.now)
    passes.  [None] = wait forever.  Returns false on timeout. *)
@@ -74,14 +85,15 @@ let read_line ?deadline_s r =
     | None ->
         if not (wait_readable r.fd until) then Deadline
         else begin
-          match Unix.read r.fd r.chunk 0 chunk_size with
-          | 0 -> if Buffer.length r.buf = 0 then Eof else Eof_mid_line
+          reserve r;
+          match Unix.read r.fd r.buf r.len chunk_size with
+          | 0 -> if r.len = 0 then Eof else Eof_mid_line
           | n ->
-              Buffer.add_subbytes r.buf r.chunk 0 n;
+              r.len <- r.len + n;
               loop ()
           | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
           | exception Unix.Unix_error (e, _, _) when closed_errno e ->
-              if Buffer.length r.buf = 0 then Eof else Eof_mid_line
+              if r.len = 0 then Eof else Eof_mid_line
           | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
             ->
               (* Spurious readiness; go back to waiting. *)

@@ -1,4 +1,4 @@
-module Fast = Solver_core.Make (Field.Float)
+module Fast = Solver_core.Make (Row_kernel.Float)
 
 type solution = { value : float; point : float array; pivots : int; basis : int array }
 type outcome = Optimal of solution | Unbounded | Infeasible | Stalled

@@ -4,7 +4,8 @@ let dot u v =
   if Array.length u <> Array.length v then invalid_arg "Linear.dot: length mismatch";
   let acc = ref Q.zero in
   for i = 0 to Array.length u - 1 do
-    acc := Q.add !acc (Q.mul u.(i) v.(i))
+    (* Points and constraint rows are mostly zeros. *)
+    if not (Q.is_zero u.(i) || Q.is_zero v.(i)) then acc := Q.add !acc (Q.mul u.(i) v.(i))
   done;
   !acc
 

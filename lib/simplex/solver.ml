@@ -1,5 +1,5 @@
 module Q = Numeric.Rational
-module Exact = Solver_core.Make (Field.Rational)
+module Exact = Solver_core.Make (Row_kernel.Exact)
 
 type solution = { value : Q.t; point : Q.t array; pivots : int; basis : int array }
 type outcome = Optimal of solution | Unbounded | Infeasible
@@ -54,21 +54,32 @@ let solve_result p =
 
    [certify_basis] answers one question: is [basis] the unique optimal
    basis of [p]?  If so it returns the (unique) optimal solution without
-   running the simplex method at all — two [m x m] exact linear solves
-   and a pricing pass replace the full tableau, which matters because
-   every tableau pivot costs a row of rational gcd normalizations.
+   running the simplex method at all: one forward elimination onto the
+   basis columns replaces Bland's pivot sequence.
 
-   The arithmetic is fraction-free: each row of the basis system is
-   scaled to integers (lcm of denominators) and eliminated with the
-   Montante/Bareiss one-step method, which keeps every intermediate
-   value an integer minor of the scaled matrix and needs no gcds.  A
-   singular basis or a failed tolerance simply rejects it (returns
+   It runs on the integer rows every exact solve of [p] starts from
+   ({!Exact.standard_form}: each constraint row [[A | I | b]] and the
+   objective row, over their own positive denominators).  Scaling a row
+   by a positive constant changes neither [x_B] nor any reduced-cost
+   sign, so the denominators drop out.  Eliminating the objective row
+   along with the constraint rows solves [B x_B = b] and prices every
+   column against the duals of [B^T y = c_B] in the same pass.  Two
+   eliminations share that shape:
+   - the Montante/Bareiss one-step method on native ints, where every
+     intermediate value is an integer minor of the matrix, every
+     division is exact and no gcd is taken — the common case, while the
+     minors stay below 2^30;
+   - once they do not, the row kernel's own update (each row scaled by
+     the pivot's cofactor, its content divided out), whose values are
+     those of the rational tableau and stay as small as it does; a float
+     pre-screen first rejects hopeless bases for the cost of a few
+     hundred float ops.
+   A singular basis or a failed tolerance simply rejects it (returns
    [None]), and the caller falls back to the canonical cold solve — so
    the routine can only ever trade speed, never correctness.
 
    Acceptance requires, in exact arithmetic:
    - primal feasibility: [B x_B = b] with [x_B >= 0];
-   - complementary duals: [B^T y = c_B] (so basic reduced costs vanish);
    - strict dual feasibility: [c_j - y . A_j < 0] for every non-basic
      column, slack columns included (for a maximization) — except that a
      reduced cost of exactly zero is tolerated on a column that is a
@@ -86,88 +97,138 @@ let solve_result p =
 exception Cert_reject
 
 module I = Numeric.Integer
+module K = Row_kernel.Exact
 
-(* Exact quotient; most divisors here are 1 (integer coefficients, the
-   first elimination step), so skip the division for them. *)
-let quo a b = if I.equal b I.one then a else fst (I.divmod a b)
+(* Forward elimination onto the columns [basis] of [m] constraint rows
+   and, last, the objective row.  Pivot [k] is taken on the first
+   unclaimed constraint row with a non-zero entry in column [basis.(k)];
+   [step] then updates the rows not yet claimed, the objective row
+   always among them.  Pivot rows freeze once used, so they form an
+   upper-triangular system [U x_B = b'] over the basis columns, and the
+   objective row ends as a positive multiple of the reduced costs
+   (Bareiss: [det] times them).
 
-let gcd a b = I.of_natural (I.gcd a b)
-let lcm a b = if I.equal b I.one then a else I.mul (quo a (gcd a b)) b
-
-(* [q] times [l], for [l] a multiple of [q]'s denominator. *)
-let scale_to l q = I.mul (Q.num q) (quo l (Q.den q))
-
-(* Solve the [m x m] system given by [entry] (row, col) and [rhs] with
-   fraction-free Gauss-Jordan elimination (Montante/Bareiss): each row is
-   first scaled to integers (lcm of denominators, content divided out),
-   then eliminated with the one-step identity
-   [a_ij := (piv * a_ij - a_ik * a_kj) / prev_piv], whose divisions are
-   exact — every intermediate value is a minor of the scaled matrix, so
-   no rational normalization (and no gcd) ever runs.  The minors can
-   exceed the native word for the larger scheduling bases, hence
-   [Integer] arithmetic, which stays on native ints while values fit
-   and is far cheaper than the equivalent tableau pivoting in [Q].
-
-   Returns [(numerators, denominator)]: after the last step every pivot
-   entry equals the same determinant value, so one denominator serves
-   all components.  Raises [Cert_reject] on a singular matrix. *)
-let montante_solve m entry rhs =
-  let mat =
-    Array.init m (fun i ->
-        let row = Array.init (m + 1) (fun j -> if j < m then entry i j else rhs i) in
-        let l = Array.fold_left (fun acc q -> lcm acc (Q.den q)) I.one row in
-        let scaled = Array.map (scale_to l) row in
-        let g =
-          Array.fold_left (fun acc v -> if I.equal acc I.one then acc else gcd acc v) I.zero scaled
-        in
-        if I.sign g = 0 then scaled else Array.map (fun v -> quo v g) scaled)
-  in
+   Returns [rowof], [rowof.(k)] the row of pivot [k]; raises
+   [Cert_reject] on a singular basis. *)
+let pivot_rows ~m basis ~nonzero ~step =
   let rowof = Array.make m (-1) in
-  let claimed = Array.make m false in
-  let prev = ref I.one in
-  for k = 0 to m - 1 do
-    let r = ref (-1) in
-    (try
-       for i = 0 to m - 1 do
-         if (not claimed.(i)) && not (I.is_zero mat.(i).(k)) then begin
-           r := i;
-           raise Exit
-         end
-       done
-     with Exit -> ());
-    if !r < 0 then raise Cert_reject;
-    let r = !r in
-    rowof.(k) <- r;
-    claimed.(r) <- true;
-    let piv = mat.(r).(k) in
-    for i = 0 to m - 1 do
-      if i <> r then begin
-        let f = mat.(i).(k) in
-        let fz = I.is_zero f in
-        for j = 0 to m do
-          let a = mat.(i).(j) in
-          (* Zeros stay zero in a row with nothing to eliminate. *)
-          if j <> k && not (fz && I.is_zero a) then begin
-            let scaled = I.mul piv a in
-            let v = if fz then scaled else I.sub scaled (I.mul f mat.(r).(j)) in
-            mat.(i).(j) <- quo v !prev
+  let claimed = Array.make (m + 1) false in
+  Array.iteri
+    (fun k col ->
+      let r = ref 0 in
+      while !r < m && (claimed.(!r) || not (nonzero !r col)) do
+        incr r
+      done;
+      if !r = m then raise Cert_reject;
+      rowof.(k) <- !r;
+      claimed.(!r) <- true;
+      step ~claimed ~r:!r ~col)
+    basis;
+  rowof
+
+(* Raised as soon as an operand of the native elimination reaches 2^30,
+   below which products and their difference cannot overflow. *)
+exception Too_big
+
+let below_2_30 x = (x + (1 lsl 30)) land lnot ((1 lsl 31) - 1) = 0
+
+(* One Bareiss step [a_ij := (piv a_ij - a_ik a_kj) / prev] on the
+   unclaimed rows.  [skip] marks the columns pivoted so far: they are
+   zero on every row still updated. *)
+let bareiss_step mat ~skip ~claimed ~r ~col ~prev =
+  let pr = mat.(r) in
+  let piv = pr.(col) in
+  if not (below_2_30 piv) then raise Too_big;
+  skip.(col) <- true;
+  Array.iteri
+    (fun i row ->
+      if not claimed.(i) then begin
+        let f = row.(col) in
+        if not (below_2_30 f) then raise Too_big;
+        for j = 0 to Array.length row - 1 do
+          let a = row.(j) and b = pr.(j) in
+          (* Zero stays zero where nothing is subtracted. *)
+          if not (skip.(j) || (a = 0 && (f = 0 || b = 0))) then begin
+            if not (below_2_30 a && below_2_30 b) then raise Too_big;
+            let v = (piv * a) - (f * b) in
+            row.(j) <- (if prev = 1 then v else v / prev)
           end
         done;
-        mat.(i).(k) <- I.zero
-      end
-    done;
-    prev := piv
-  done;
-  let det = mat.(rowof.(m - 1)).(m - 1) in
-  (Array.init m (fun k -> mat.(rowof.(k)).(m)), det)
+        row.(col) <- 0
+      end)
+    mat
 
-(* Small float LU solve used as a pre-screen: hopeless bases (wrong
-   length aside: infeasible, suboptimal, or sitting on alternate optima)
-   are rejected for the cost of a few hundred float ops, before any
-   exact arithmetic is spent on them. *)
-let float_solve m entry rhs =
-  let a = Array.init m (fun i -> Array.init m (entry i)) in
-  let x = Array.init m rhs in
+(* The Bareiss certificate on native ints, for the [m + 1] kernel [rows]
+   of [width] columns (the objective row last, the right-hand side the
+   last column).  Returns the sign and the value of each basic
+   variable and the sign of each column's reduced cost; raises
+   [Too_big]. *)
+let bareiss_certificate ~m ~width rows basis =
+  let mat =
+    Array.map
+      (fun row ->
+        Array.init width (fun j ->
+            match I.to_int (K.entry row j) with
+            | v when below_2_30 v -> v
+            | _ | (exception Invalid_argument _) -> raise Too_big))
+      rows
+  in
+  let skip = Array.make width false in
+  let prev = ref 1 in
+  let rowof =
+    pivot_rows ~m basis
+      ~nonzero:(fun i col -> mat.(i).(col) <> 0)
+      ~step:(fun ~claimed ~r ~col ->
+        bareiss_step mat ~skip ~claimed ~r ~col ~prev:!prev;
+        prev := mat.(r).(col))
+  in
+  (* Back substitution through [U], on {!Numeric.Integer}:
+     [det x_k = (det b'_k - sum_{l > k} U_kl (det x_l)) / U_kk], exact
+     since [det x_k] is an integer by Cramer's rule. *)
+  let det = I.of_int !prev in
+  let xs = Array.make m I.zero in
+  for k = m - 1 downto 0 do
+    let u = mat.(rowof.(k)) in
+    let acc = ref (I.mul det (I.of_int u.(width - 1))) in
+    for l = k + 1 to m - 1 do
+      acc := I.cross !acc I.one (I.of_int u.(basis.(l))) xs.(l)
+    done;
+    xs.(k) <- I.divexact !acc (I.of_int u.(basis.(k)))
+  done;
+  let dsign = compare !prev 0 in
+  ( (fun k -> I.sign xs.(k) * dsign),
+    (fun k -> Q.make xs.(k) det),
+    fun j -> compare mat.(m).(j) 0 * dsign )
+
+(* The same elimination with the row kernel's update, on the rows
+   themselves ([total] is the right-hand-side column): each pivot row is
+   normalized to read 1 in its basis column, so back substitution runs
+   on the values directly. *)
+let row_certificate ~m ~total rows objective basis =
+  let rowof =
+    pivot_rows ~m basis
+      ~nonzero:(fun i col -> K.sign rows.(i) col <> 0)
+      ~step:(fun ~claimed ~r ~col ->
+        let pr = rows.(r) in
+        K.normalize pr ~col;
+        Array.iteri (fun i row -> if not claimed.(i) then K.eliminate row ~by:pr ~col) rows;
+        K.eliminate objective ~by:pr ~col)
+  in
+  let x = Array.make m Q.zero in
+  for k = m - 1 downto 0 do
+    let u = rows.(rowof.(k)) in
+    let acc = ref (K.value u total) in
+    for l = k + 1 to m - 1 do
+      if K.sign u basis.(l) <> 0 then acc := Q.sub !acc (Q.mul (K.value u basis.(l)) x.(l))
+    done;
+    x.(k) <- !acc
+  done;
+  ((fun k -> Q.sign x.(k)), Array.get x, K.sign objective)
+
+(* Small float LU solve used by the pre-screen.  Solves [a x = rhs],
+   overwriting both. *)
+let float_solve a x =
+  let m = Array.length x in
   let piv_order = Array.init m Fun.id in
   for k = 0 to m - 1 do
     let best = ref k and best_mag = ref (Float.abs a.(piv_order.(k)).(k)) in
@@ -240,72 +301,71 @@ let certify_basis (p : Problem.t) ~basis =
       | Problem.Minimize -> Q.minus_one
     in
     let obj j = if j < n then Q.mul sign_q p.Problem.objective.(j) else Q.zero in
-    let b_entry i k = col i basis.(k) in
-    let bt_entry k i = col i basis.(k) in
     (* A zero reduced cost is tolerable only on an exact duplicate of a
        basic zero-objective column (see the header): anything else opens
        a genuine alternate-optimum direction and rejects the basis. *)
+    let zero_obj j = j >= n || Q.sign p.Problem.objective.(j) = 0 in
     let duplicate_of_basic j =
-      Q.sign (obj j) = 0
+      zero_obj j
       && Array.exists
            (fun k ->
              k <> j
-             && Q.sign (obj k) = 0
+             && zero_obj k
              &&
              let rec eq i = i >= m || (Q.equal (col i k) (col i j) && eq (i + 1)) in
              eq 0)
            basis
     in
-    (* -------- float screen -------- *)
-    let fcol i j = Q.to_float (col i j) in
-    let fx =
-      float_solve m
-        (fun i k -> fcol i basis.(k))
-        (fun i -> Q.to_float cs.(i).Problem.rhs)
-    in
-    Array.iter (fun v -> if v < -1e-7 then raise Cert_reject) fx;
-    let fy =
-      float_solve m
-        (fun k i -> fcol i basis.(k))
-        (fun k -> Q.to_float (obj basis.(k)))
-    in
-    for j = 0 to n + m - 1 do
-      if not basic.(j) then begin
-        let r = ref (Q.to_float (obj j)) in
-        for i = 0 to m - 1 do
-          let a = fcol i j in
-          if a <> 0.0 then r := !r -. (fy.(i) *. a)
+    (* Infeasible, suboptimal or sitting on alternate optima in floats:
+       not worth the exact elimination. *)
+    let float_screen () =
+      let fa = Array.make_matrix m (n + m) 0.0 in
+      for i = 0 to m - 1 do
+        let coeffs = cs.(i).Problem.coeffs in
+        for j = 0 to n - 1 do
+          fa.(i).(j) <- Q.to_float coeffs.(j)
         done;
-        (* Near-zero reduced costs mean alternate optima (or a wrong
-           basis): no certificate is possible, except on a twin column
-           whose exact reduced cost is structurally zero. *)
-        if !r > -1e-7 && not (duplicate_of_basic j) then raise Cert_reject
-      end
-    done;
-    (* -------- exact certificate -------- *)
-    let xs, xden = montante_solve m b_entry (fun i -> cs.(i).Problem.rhs) in
-    let xsign = I.sign xden in
-    Array.iter (fun v -> if I.sign v * xsign < 0 then raise Cert_reject) xs;
-    let ys, yden = montante_solve m bt_entry (fun k -> obj basis.(k)) in
-    let ysign = I.sign yden in
-    (* Strict dual feasibility, checked without any rational arithmetic:
-       [r_j = c_j - y . A_j < 0] with [y_i = ys_i / yden].  Multiplying
-       by [yden] and by the column's denominator lcm [l] (both nonzero)
-       turns the test into a pure integer sign:
-       [sign(l * num(c_j)/den(c_j) * yden - sum_i ys_i * (l * a_ij))
-        * sign(yden) < 0]. *)
-    let reduced_sign j =
-      let l = ref (Q.den (obj j)) in
-      for i = 0 to m - 1 do
-        l := lcm !l (Q.den (col i j))
+        fa.(i).(n + i) <- 1.0
       done;
-      let acc = ref (I.mul (scale_to !l (obj j)) yden) in
+      let fc = Array.init (n + m) (fun j -> Q.to_float (obj j)) in
+      let fb = Array.make_matrix m m 0.0 and fbt = Array.make_matrix m m 0.0 in
       for i = 0 to m - 1 do
-        let a = col i j in
-        if Q.sign a <> 0 then acc := I.sub !acc (I.mul ys.(i) (scale_to !l a))
+        for k = 0 to m - 1 do
+          fb.(i).(k) <- fa.(i).(basis.(k));
+          fbt.(k).(i) <- fa.(i).(basis.(k))
+        done
       done;
-      I.sign !acc * ysign
+      let fx =
+        float_solve fb (Array.map (fun (c : Problem.constr) -> Q.to_float c.Problem.rhs) cs)
+      in
+      Array.iter (fun v -> if v < -1e-7 then raise Cert_reject) fx;
+      let fy = float_solve fbt (Array.map (fun k -> fc.(k)) basis) in
+      for j = 0 to n + m - 1 do
+        if not basic.(j) then begin
+          let r = ref fc.(j) in
+          for i = 0 to m - 1 do
+            let a = fa.(i).(j) in
+            if a <> 0.0 then r := !r -. (fy.(i) *. a)
+          done;
+          (* Near-zero reduced costs mean alternate optima (or a wrong
+             basis): no certificate is possible, except on a twin column
+             whose exact reduced cost is structurally zero. *)
+          if !r > -1e-7 && not (duplicate_of_basic j) then raise Cert_reject
+        end
+      done
     in
+    (* -------- exact certificate -------- *)
+    let rows, objective = Exact.standard_form p in
+    let x_sign, x_value, reduced_sign =
+      try
+        bareiss_certificate ~m ~width:(n + m + 1) (Array.append rows [| objective |]) basis
+      with Too_big ->
+        float_screen ();
+        row_certificate ~m ~total:(n + m) rows objective basis
+    in
+    for k = 0 to m - 1 do
+      if x_sign k < 0 then raise Cert_reject
+    done;
     for j = 0 to n + m - 1 do
       if not basic.(j) then begin
         let s = reduced_sign j in
@@ -314,9 +374,7 @@ let certify_basis (p : Problem.t) ~basis =
     done;
     (* -------- assemble the unique optimum -------- *)
     let point = Array.make n Q.zero in
-    Array.iteri
-      (fun k j -> if j < n then point.(j) <- Q.make xs.(k) xden)
-      basis;
+    Array.iteri (fun k j -> if j < n then point.(j) <- x_value k) basis;
     let value = ref Q.zero in
     Array.iteri
       (fun j c ->

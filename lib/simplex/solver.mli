@@ -58,9 +58,10 @@ val solve_with_basis : Problem.t -> basis:int array -> warm_outcome
 
 (** [certify_basis p ~basis] checks whether [basis] is the {e unique}
     optimal basis of [p] using a single exact factorization restricted
-    to the basis columns — two [m x m] fraction-free integer
-    eliminations (Montante/Bareiss) and a pricing pass — instead of
-    tableau pivoting.  [Some sol] is returned only when, in exact
+    to the basis columns — one fraction-free elimination of the integer
+    constraint and objective rows, which solves for the basic values
+    and prices every column in the same pass — instead of tableau
+    pivoting.  [Some sol] is returned only when, in exact
     arithmetic, the basis is primal feasible and every non-basic column
     has a strictly negative reduced cost — tolerating a reduced cost of
     exactly zero only on a column that duplicates (coefficients and zero
@@ -74,8 +75,9 @@ val solve_with_basis : Problem.t -> basis:int array -> warm_outcome
     wrong, the optimum non-unique, or the problem shape unsupported
     (only all-[<=] programs with non-negative right-hand sides are
     handled).
-    Callers must fall back to {!solve}.  A cheap float screen rejects
-    hopeless bases before any exact arithmetic is spent. *)
+    Callers must fall back to {!solve}.  When the elimination outgrows
+    native ints, a cheap float screen rejects hopeless bases before any
+    multi-precision arithmetic is spent. *)
 val certify_basis : Problem.t -> basis:int array -> solution option
 
 (** [solve_result p] is {!solve} in [result] form. *)

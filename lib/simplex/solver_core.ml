@@ -1,7 +1,9 @@
-module Make (F : Field.S) = struct
+module Q = Numeric.Rational
+
+module Make (K : Row_kernel.S) = struct
   type solution = {
-    value : F.t;
-    point : F.t array;
+    value : K.scalar;
+    point : K.scalar array;
     pivots : int;
     basis : int array;
   }
@@ -16,10 +18,12 @@ module Make (F : Field.S) = struct
 
   exception Pivot_cap
 
-  (* Dense tableau over F; see Solver for the layout description. *)
+  (* Dense tableau of kernel rows, one per constraint plus the objective
+     row.  Columns: original variables, then slacks, then artificials,
+     then the right-hand side. *)
   type tableau = {
-    rows : F.t array array;
-    obj : F.t array;
+    rows : K.row array;
+    mutable obj : K.row;
     basis : int array;
     allowed : bool array;
     total : int;
@@ -29,24 +33,10 @@ module Make (F : Field.S) = struct
 
   let pivot t ~row ~col =
     if t.pivots >= t.max_pivots then raise Pivot_cap;
-    let m = Array.length t.rows in
-    let width = t.total + 1 in
     let pr = t.rows.(row) in
-    let inv_p = F.inv pr.(col) in
-    for j = 0 to width - 1 do
-      pr.(j) <- F.mul pr.(j) inv_p
-    done;
-    let eliminate target =
-      let f = target.(col) in
-      if F.sign f <> 0 then
-        for j = 0 to width - 1 do
-          target.(j) <- F.sub target.(j) (F.mul f pr.(j))
-        done
-    in
-    for i = 0 to m - 1 do
-      if i <> row then eliminate t.rows.(i)
-    done;
-    eliminate t.obj;
+    K.normalize pr ~col;
+    Array.iteri (fun i r -> if i <> row then K.eliminate r ~by:pr ~col) t.rows;
+    K.eliminate t.obj ~by:pr ~col;
     t.basis.(row) <- col;
     t.pivots <- t.pivots + 1
 
@@ -55,7 +45,7 @@ module Make (F : Field.S) = struct
     let entering = ref (-1) in
     (try
        for j = 0 to t.total - 1 do
-         if t.allowed.(j) && F.sign t.obj.(j) > 0 then begin
+         if t.allowed.(j) && K.sign t.obj j > 0 then begin
            entering := j;
            raise Exit
          end
@@ -64,21 +54,22 @@ module Make (F : Field.S) = struct
     if !entering < 0 then `Optimal
     else begin
       let col = !entering in
+      (* Ratio test on rhs / entry; ties go to the smaller basic index. *)
       let best_row = ref (-1) in
-      let best_ratio = ref F.zero in
       for i = 0 to m - 1 do
-        let a = t.rows.(i).(col) in
-        if F.sign a > 0 then begin
-          let ratio = F.div t.rows.(i).(t.total) a in
+        let r = t.rows.(i) in
+        if K.sign r col > 0 then begin
           let better =
             !best_row < 0
-            || F.compare ratio !best_ratio < 0
-            || (F.compare ratio !best_ratio = 0 && t.basis.(i) < t.basis.(!best_row))
+            ||
+            let b = t.rows.(!best_row) in
+            let c =
+              K.compare_quotients (K.entry r t.total) (K.entry r col) (K.entry b t.total)
+                (K.entry b col)
+            in
+            c < 0 || (c = 0 && t.basis.(i) < t.basis.(!best_row))
           in
-          if better then begin
-            best_row := i;
-            best_ratio := ratio
-          end
+          if better then best_row := i
         end
       done;
       if !best_row < 0 then `Unbounded
@@ -88,18 +79,11 @@ module Make (F : Field.S) = struct
       end
     end
 
+  (* Price out the basic columns of the objective row [c]; each basic
+     column reads 1 on its row. *)
   let install_objective t c =
-    Array.blit c 0 t.obj 0 (t.total + 1);
-    Array.iteri
-      (fun i bv ->
-        let f = t.obj.(bv) in
-        if F.sign f <> 0 then begin
-          let row = t.rows.(i) in
-          for j = 0 to t.total do
-            t.obj.(j) <- F.sub t.obj.(j) (F.mul f row.(j))
-          done
-        end)
-      t.basis
+    t.obj <- c;
+    Array.iteri (fun i bv -> K.eliminate c ~by:t.rows.(i) ~col:bv) t.basis
 
   (* Standard-form tableau shared by the cold and warm entry points. *)
   type prepared = {
@@ -107,13 +91,13 @@ module Make (F : Field.S) = struct
     n : int;  (* original variables *)
     n_slack : int;
     n_art : int;
-    maximize_sign : F.t;
+    maximize : bool;
+    phase2 : K.row;  (* the phase-2 objective row, not yet priced out *)
   }
 
   let prepare ~max_pivots (p : Problem.t) =
     let n = Problem.num_vars p in
     let m = Problem.num_constraints p in
-    let module Q = Numeric.Rational in
     let oriented =
       Array.map
         (fun (c : Problem.constr) ->
@@ -142,34 +126,37 @@ module Make (F : Field.S) = struct
         0 oriented
     in
     let total = n + n_slack + n_art in
-    let rows = Array.init m (fun _ -> Array.make (total + 1) F.zero) in
     let basis = Array.make m (-1) in
     let next_slack = ref n in
     let next_art = ref (n + n_slack) in
-    Array.iteri
-      (fun i c ->
-        Array.iteri (fun j q -> rows.(i).(j) <- F.of_rational q) c.Problem.coeffs;
-        rows.(i).(total) <- F.of_rational c.Problem.rhs;
-        (match c.Problem.relation with
-        | Problem.Le ->
-          rows.(i).(!next_slack) <- F.one;
-          basis.(i) <- !next_slack;
-          incr next_slack
-        | Problem.Ge ->
-          rows.(i).(!next_slack) <- F.minus_one;
-          incr next_slack;
-          rows.(i).(!next_art) <- F.one;
-          basis.(i) <- !next_art;
-          incr next_art
-        | Problem.Eq ->
-          rows.(i).(!next_art) <- F.one;
-          basis.(i) <- !next_art;
-          incr next_art))
-      oriented;
+    let rows =
+      Array.mapi
+        (fun i c ->
+          let row = Array.make (total + 1) Q.zero in
+          Array.blit c.Problem.coeffs 0 row 0 n;
+          row.(total) <- c.Problem.rhs;
+          (match c.Problem.relation with
+          | Problem.Le ->
+            row.(!next_slack) <- Q.one;
+            basis.(i) <- !next_slack;
+            incr next_slack
+          | Problem.Ge ->
+            row.(!next_slack) <- Q.minus_one;
+            incr next_slack;
+            row.(!next_art) <- Q.one;
+            basis.(i) <- !next_art;
+            incr next_art
+          | Problem.Eq ->
+            row.(!next_art) <- Q.one;
+            basis.(i) <- !next_art;
+            incr next_art);
+          K.of_rationals row)
+        oriented
+    in
     let t =
       {
         rows;
-        obj = Array.make (total + 1) F.zero;
+        obj = K.of_rationals (Array.make (total + 1) Q.zero);
         basis;
         allowed = Array.make total true;
         total;
@@ -177,27 +164,25 @@ module Make (F : Field.S) = struct
         pivots = 0;
       }
     in
-    let maximize_sign =
-      match p.Problem.direction with
-      | Problem.Maximize -> F.one
-      | Problem.Minimize -> F.minus_one
-    in
-    { t; n; n_slack; n_art; maximize_sign }
+    let maximize = p.Problem.direction = Problem.Maximize in
+    (* The phase-2 objective row, maximized: the objective, negated for a
+       minimization. *)
+    let c = Array.make (total + 1) Q.zero in
+    Array.iteri (fun j v -> c.(j) <- (if maximize then v else Q.neg v)) p.Problem.objective;
+    { t; n; n_slack; n_art; maximize; phase2 = K.of_rationals c }
 
-  let phase2_objective pr (p : Problem.t) =
-    let c = Array.make (pr.t.total + 1) F.zero in
-    Array.iteri
-      (fun j v -> c.(j) <- F.mul pr.maximize_sign (F.of_rational v))
-      p.Problem.objective;
-    c
+  let standard_form p =
+    let pr = prepare ~max_pivots:0 p in
+    (pr.t.rows, pr.phase2)
 
   let finish pr =
     let t = pr.t in
-    let point = Array.make pr.n F.zero in
+    let point = Array.make pr.n K.zero in
     Array.iteri
-      (fun i bv -> if bv < pr.n then point.(bv) <- t.rows.(i).(t.total))
+      (fun i bv -> if bv < pr.n then point.(bv) <- K.value t.rows.(i) t.total)
       t.basis;
-    let value = F.mul pr.maximize_sign (F.neg t.obj.(t.total)) in
+    let value = K.value t.obj t.total in
+    let value = if pr.maximize then K.neg value else value in
     Optimal
       { value; point; pivots = t.pivots; basis = Array.copy t.basis }
 
@@ -208,19 +193,19 @@ module Make (F : Field.S) = struct
     let total = t.total in
     try
       if n_art = 0 then begin
-        install_objective t (phase2_objective pr p);
+        install_objective t pr.phase2;
         match optimize t with `Optimal -> finish pr | `Unbounded -> Unbounded
       end
       else begin
-        let c1 = Array.make (total + 1) F.zero in
+        let c1 = Array.make (total + 1) Q.zero in
         for j = n + n_slack to total - 1 do
-          c1.(j) <- F.minus_one
+          c1.(j) <- Q.minus_one
         done;
-        install_objective t c1;
+        install_objective t (K.of_rationals c1);
         (match optimize t with
         | `Unbounded -> assert false
         | `Optimal -> ());
-        if F.sign (F.neg t.obj.(total)) < 0 then Infeasible
+        if K.sign t.obj total > 0 then Infeasible
         else begin
           Array.iteri
             (fun i bv ->
@@ -228,7 +213,7 @@ module Make (F : Field.S) = struct
                 let col = ref (-1) in
                 (try
                    for j = 0 to n + n_slack - 1 do
-                     if F.sign t.rows.(i).(j) <> 0 then begin
+                     if K.sign t.rows.(i) j <> 0 then begin
                        col := j;
                        raise Exit
                      end
@@ -240,7 +225,7 @@ module Make (F : Field.S) = struct
           for j = n + n_slack to total - 1 do
             t.allowed.(j) <- false
           done;
-          install_objective t (phase2_objective pr p);
+          install_objective t pr.phase2;
           match optimize t with `Optimal -> finish pr | `Unbounded -> Unbounded
         end
       end
@@ -271,7 +256,7 @@ module Make (F : Field.S) = struct
             let row = ref (-1) in
             (try
                for i = 0 to m - 1 do
-                 if (not claimed.(i)) && F.sign t.rows.(i).(col) <> 0 then begin
+                 if (not claimed.(i)) && K.sign t.rows.(i) col <> 0 then begin
                    row := i;
                    raise Exit
                  end
@@ -316,9 +301,9 @@ module Make (F : Field.S) = struct
       (fun i bv ->
         if bv >= structural then begin
           let row = t.rows.(i) in
-          if F.sign row.(t.total) <> 0 then inert := false;
+          if K.sign row t.total <> 0 then inert := false;
           for j = 0 to structural - 1 do
-            if F.sign row.(j) <> 0 then inert := false
+            if K.sign row j <> 0 then inert := false
           done
         end)
       t.basis;
@@ -338,14 +323,14 @@ module Make (F : Field.S) = struct
           (* Exact primal feasibility of the candidate basis. *)
           let feasible = ref true in
           for i = 0 to m - 1 do
-            if F.sign t.rows.(i).(t.total) < 0 then feasible := false
+            if K.sign t.rows.(i) t.total < 0 then feasible := false
           done;
           if not !feasible then Warm_rejected
           else begin
             for j = structural to t.total - 1 do
               t.allowed.(j) <- false
             done;
-            install_objective t (phase2_objective pr p);
+            install_objective t pr.phase2;
             match optimize t with
             | `Unbounded -> Warm_unbounded
             | `Optimal ->
@@ -358,7 +343,7 @@ module Make (F : Field.S) = struct
               Array.iter (fun bv -> basic.(bv) <- true) t.basis;
               let unique = ref true in
               for j = 0 to t.total - 1 do
-                if t.allowed.(j) && (not basic.(j)) && F.sign t.obj.(j) = 0
+                if t.allowed.(j) && (not basic.(j)) && K.sign t.obj j = 0
                 then unique := false
               done;
               (match finish pr with
@@ -400,14 +385,14 @@ module Make (F : Field.S) = struct
           for j = structural to t.total - 1 do
             t.allowed.(j) <- false
           done;
-          install_objective t (phase2_objective pr p);
+          install_objective t pr.phase2;
           let installed = t.pivots in
           let basic = Array.make t.total false in
           let rec dual () =
             let row = ref (-1) in
             for i = 0 to m - 1 do
               if
-                F.sign t.rows.(i).(t.total) < 0
+                K.sign t.rows.(i) t.total < 0
                 && (!row < 0 || t.basis.(i) < t.basis.(!row))
               then row := i
             done;
@@ -416,19 +401,18 @@ module Make (F : Field.S) = struct
               let r = !row in
               Array.fill basic 0 t.total false;
               Array.iter (fun bv -> basic.(bv) <- true) t.basis;
+              (* Dual ratio test on reduced cost / entry; ties go to the
+                 smaller column. *)
+              let row = t.rows.(r) in
               let col = ref (-1) in
-              let best = ref F.zero in
               for j = 0 to t.total - 1 do
-                if t.allowed.(j) && not basic.(j) then begin
-                  let a = t.rows.(r).(j) in
-                  if F.sign a < 0 then begin
-                    let ratio = F.div t.obj.(j) a in
-                    if !col < 0 || F.compare ratio !best < 0 then begin
-                      col := j;
-                      best := ratio
-                    end
-                  end
-                end
+                if t.allowed.(j) && (not basic.(j)) && K.sign row j < 0 then
+                  if
+                    !col < 0
+                    || K.compare_quotients (K.entry t.obj j) (K.entry row j)
+                         (K.entry t.obj !col) (K.entry row !col)
+                       < 0
+                  then col := j
               done;
               if !col < 0 then `Stuck
               else begin

@@ -1,16 +1,17 @@
-(** The simplex algorithm, generic over the scalar {!Field.S}.
+(** The simplex algorithm, generic over the tableau-row kernel
+    {!Row_kernel.S}.
 
-    {!Solver} instantiates it with exact rationals (and re-exports a
+    {!Solver} instantiates it with exact integer rows (and re-exports a
     rational-typed API — use that one by default); {!Float_solver} with
     IEEE doubles.  The algorithm is the classical two-phase primal
     simplex with Bland's smallest-index rule; with exact arithmetic
     Bland's rule guarantees termination, with floats an iteration cap
     backstops tolerance-induced cycling. *)
 
-module Make (F : Field.S) : sig
+module Make (K : Row_kernel.S) : sig
   type solution = {
-    value : F.t;
-    point : F.t array;
+    value : K.scalar;
+    point : K.scalar array;
     pivots : int;
     basis : int array;
         (** the terminal basis: for each constraint row, the column index
@@ -48,14 +49,14 @@ module Make (F : Field.S) : sig
     | Warm_stalled  (** the pivot cap was reached *)
 
   (** [solve ?max_pivots p] solves the (rational-typed) problem with
-      this field's arithmetic. Default cap: 100000 pivots. *)
+      this kernel's arithmetic. Default cap: 100000 pivots. *)
   val solve : ?max_pivots:int -> Problem.t -> outcome
 
   (** [solve_with_basis ?max_pivots p ~basis] starts the simplex from the
       given basis instead of from scratch: the basis columns are brought
       in with plain Gauss-Jordan pivots (a single factorization restricted
       to the candidate basis — no phase 1), primal feasibility is checked
-      in this field's arithmetic, and Bland's rule then runs to
+      in this kernel's arithmetic, and Bland's rule then runs to
       termination.  Intended uses, with the exact instantiation:
 
       - {e basis lifting}: pass the terminal basis of a float solve; if
@@ -69,6 +70,15 @@ module Make (F : Field.S) : sig
       wrong answer — and the caller falls back to {!solve}. *)
   val solve_with_basis :
     ?max_pivots:int -> Problem.t -> basis:int array -> warm_outcome
+
+  (** [standard_form p] is the tableau every solve of [p] starts from:
+      one row per constraint — oriented to a non-negative right-hand
+      side, then its slack and artificial columns, then the right-hand
+      side — and the phase-2 objective row over the same columns,
+      maximized (negated for a minimization).  With all constraints
+      [<=] and right-hand sides non-negative the layout is
+      [[A | I | b]], column [n + i] being row [i]'s slack. *)
+  val standard_form : Problem.t -> K.row array * K.row
 
   (** [repair ?max_pivots p ~basis] warm-{e repairs} a candidate basis
       that need not be primally feasible for [p] — the typical state of

@@ -520,9 +520,10 @@ module Ref = struct
     if N.equal d N.one then to_string n else to_string n ^ "/" ^ N.to_string d
 end
 
-(* Magnitudes that straddle the small/limb boundary: around 2^31 (where
-   the unchecked product stops being safe), sqrt(2^63), max_int and
-   2^62 = |min_int|, plus tiny values and multi-limb ones. *)
+(* Magnitudes that straddle the small/limb boundary: around 2^30 (where
+   [Integer.cross] stops skipping its checks), 2^31 (where the unchecked
+   product stops being safe), sqrt(2^63), max_int and 2^62 = |min_int|,
+   plus tiny values and multi-limb ones. *)
 let gen_edge_mag =
   let open QCheck2.Gen in
   let around c =
@@ -532,6 +533,7 @@ let gen_edge_mag =
   let two k = N.shift_left N.one k in
   oneof
     [
+      around (two 30);
       around (two 31);
       around (N.of_int 3037000499);
       around (N.of_int max_int);
@@ -576,6 +578,18 @@ let small_props =
            ||
            let q, r = Z.divmod a b and rq, rr = Ref.divmod ra rb in
            z_agrees q rq && z_agrees r rr));
+    prop ~count:1000 "int: cross, gcd_integer, divexact, to_int agree with limbs"
+      (pair z2 z2) (fun ((ra, rb), (rc, rd)) ->
+        let a = z_of_ref ra and b = z_of_ref rb and c = z_of_ref rc and d = z_of_ref rd in
+        let cross = Ref.sub (Ref.mul ra rb) (Ref.mul rc rd) in
+        let g = N.gcd (snd ra) (snd rb) in
+        (match Z.to_int_opt a with
+        | Some v -> Z.to_int a = v
+        | None -> ( try ignore (Z.to_int a); false with Invalid_argument _ -> true))
+        && z_agrees (Z.cross a b c d) cross
+        && z_agrees (Z.gcd_integer a b) (Ref.mk 1 g)
+        && (fst rb = 0 || z_agrees (Z.divexact (Z.mul a b) b) ra)
+        && (N.is_zero g || z_agrees (Z.divexact a (Z.of_natural g)) (Ref.mk (fst ra) (fst (N.divmod (snd ra) g)))));
     prop ~count:1000 "rat: small/limb agrees with limbs" q2 (fun (ra, rb) ->
         let a = q_of_ref ra and b = q_of_ref rb in
         q_agrees (Q.add a b) (Ref.qadd ra rb)

@@ -968,6 +968,54 @@ let test_wire_read_deadline () =
   | _ -> Alcotest.fail "expected eof at a line boundary");
   Unix.close b
 
+(* A 1 MiB line arrives in some 256 reads: reassembling it must cost
+   allocation linear in its length, not a copy of the buffered prefix
+   per read. *)
+let test_wire_long_line () =
+  let a, b = Unix.socketpair ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let size = 1 lsl 20 in
+  let payload = Bytes.init (size + 1) (fun i -> if i = size then '\n' else Char.chr (97 + (i mod 26))) in
+  let writer =
+    Thread.create
+      (fun () ->
+        let rec go off =
+          if off < Bytes.length payload then
+            go (off + Unix.write a payload off (Bytes.length payload - off))
+        in
+        go 0)
+      ()
+  in
+  let r = W.reader b in
+  let before = Gc.allocated_bytes () in
+  let got = W.read_line r in
+  let allocated = Gc.allocated_bytes () -. before in
+  Thread.join writer;
+  (match got with
+  | W.Line l ->
+    Alcotest.(check bool) "1 MiB line intact" true (l = Bytes.sub_string payload 0 size)
+  | _ -> Alcotest.fail "expected the long line");
+  if allocated >= 8.0 *. 1024.0 *. 1024.0 then
+    Alcotest.failf "reading a 1 MiB line allocated %.1f MiB" (allocated /. 1048576.0);
+  Unix.close a;
+  Unix.close b
+
+let test_wire_lines_in_one_write () =
+  let a, b = Unix.socketpair ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let batch = "one\ntwo\r\nthree\n" in
+  ignore (Unix.write_substring a batch 0 (String.length batch));
+  let r = W.reader b in
+  List.iter
+    (fun want ->
+      match W.read_line ~deadline_s:1.0 r with
+      | W.Line l -> check_str "lines in order" want l
+      | _ -> Alcotest.failf "expected line %S" want)
+    [ "one"; "two"; "three" ];
+  Unix.close a;
+  (match W.read_line r with
+  | W.Eof -> ()
+  | _ -> Alcotest.fail "expected eof at a line boundary");
+  Unix.close b
+
 let test_server_kill_mid_line () =
   (* A client that vanishes half-way through a request line must be
      counted as a hangup and must not take the server down. *)
@@ -1625,6 +1673,10 @@ let () =
             test_wire_byte_at_a_time;
           Alcotest.test_case "read deadline keeps partial lines" `Quick
             test_wire_read_deadline;
+          Alcotest.test_case "1 MiB line, linear allocation" `Quick
+            test_wire_long_line;
+          Alcotest.test_case "three lines from one write" `Quick
+            test_wire_lines_in_one_write;
         ] );
       ( "journal",
         [

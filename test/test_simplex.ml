@@ -156,16 +156,19 @@ let test_linear_rank () =
 (* Property: simplex agrees with vertex enumeration                    *)
 (* ------------------------------------------------------------------ *)
 
+(* Fractional coefficients [k/d] and right-hand sides of either sign:
+   the solver scales each row to integers and flips rows with a
+   negative right-hand side before it pivots. *)
 let gen_problem =
   let open QCheck2.Gen in
-  let coeff = map Q.of_int (int_range (-5) 5) in
+  let coeff = map2 Q.of_ints (int_range (-5) 5) (int_range 1 6) in
   let* n = int_range 1 3 in
   let* m = int_range 1 4 in
   let* objective = array_size (return n) coeff in
   let* constraints =
     list_size (return m)
       (let* coeffs = array_size (return n) coeff in
-       let* rhs = map Q.of_int (int_range 0 10) in
+       let* rhs = map Q.of_int (int_range (-10) 10) in
        let* rel =
          (* mostly Le to keep feasible instances common *)
          frequency [ (6, return P.Le); (2, return P.Ge); (1, return P.Eq) ]
