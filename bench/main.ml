@@ -210,26 +210,12 @@ let median samples =
   Array.sort compare s;
   s.(Array.length s / 2)
 
-(* [f] must be a pure solve; the cache is reset around it here so every
-   run is cold. *)
-let run_solver_arm ~k ~warmup f =
-  let once () =
-    Dls.Lp_model.reset_cache ();
-    f ()
-  in
-  for _ = 1 to warmup do
-    ignore (once ())
-  done;
-  let samples =
-    Array.init k (fun _ ->
-        let t0 = Unix.gettimeofday () in
-        ignore (once ());
-        Unix.gettimeofday () -. t0)
-  in
-  (* One more instrumented run for the counters (the run is
-     deterministic, so it does exactly what the timed ones did). *)
+(* One more instrumented run of [f] for the counters (the run is
+   deterministic, so it does exactly what the timed ones did). *)
+let solver_arm ~samples f =
+  Dls.Lp_model.reset_cache ();
   Dls.Lp_model.reset_pipeline_stats ();
-  let sol = once () in
+  let sol = f () in
   let ps = Dls.Lp_model.pipeline_stats () in
   let cs = Dls.Lp_model.cache_stats () in
   Dls.Lp_model.reset_pipeline_stats ();
@@ -245,6 +231,31 @@ let run_solver_arm ~k ~warmup f =
     float_pivots = ps.Dls.Lp_model.float_pivots;
     exact_pivots = ps.Dls.Lp_model.exact_pivots;
   }
+
+(* [exact] and [fast] must be pure solves; the cache is reset around
+   each run here so every run is cold.  The two arms run in turn (exact,
+   fast, exact, fast, ...), warm-up included, so a phase of a shared
+   host falls on both alike. *)
+let run_solver_arms ~k ~warmup ~exact ~fast =
+  let once f =
+    Dls.Lp_model.reset_cache ();
+    f ()
+  in
+  for _ = 1 to warmup do
+    ignore (once exact);
+    ignore (once fast)
+  done;
+  let time f =
+    let t0 = Unix.gettimeofday () in
+    ignore (once f);
+    Unix.gettimeofday () -. t0
+  in
+  let exact_s = Array.make k 0.0 and fast_s = Array.make k 0.0 in
+  for i = 0 to k - 1 do
+    exact_s.(i) <- time exact;
+    fast_s.(i) <- time fast
+  done;
+  (solver_arm ~samples:exact_s exact, solver_arm ~samples:fast_s fast)
 
 let solver_arm_json a =
   Printf.sprintf
@@ -268,12 +279,10 @@ let run_solver_bench ~quick ~k ~warmup ~json_path ~gate =
       List.iteri
         (fun ri (rname, z) ->
           let platform = solver_platform ~p ~regime:ri ~z in
-          let exact =
-            run_solver_arm ~k ~warmup (fun () ->
-                Dls.Brute.best_fifo ~fast:false ~prune:false platform)
-          in
-          let fast =
-            run_solver_arm ~k ~warmup (fun () -> Dls.Brute.best_fifo platform)
+          let exact, fast =
+            run_solver_arms ~k ~warmup
+              ~exact:(fun () -> Dls.Brute.best_fifo ~fast:false ~prune:false platform)
+              ~fast:(fun () -> Dls.Brute.best_fifo platform)
           in
           if not (Q.equal exact.rho fast.rho) then begin
             Printf.eprintf
@@ -319,12 +328,10 @@ let run_solver_bench ~quick ~k ~warmup ~json_path ~gate =
        on shared CI hardware) and require the fast pipeline to win. *)
     let p = List.hd ps in
     let platform = solver_platform ~p ~regime:0 ~z:(Q.of_ints 1 2) in
-    let exact =
-      run_solver_arm ~k ~warmup (fun () ->
-          Dls.Brute.best_fifo ~fast:false ~prune:false platform)
-    in
-    let fast =
-      run_solver_arm ~k ~warmup (fun () -> Dls.Brute.best_fifo platform)
+    let exact, fast =
+      run_solver_arms ~k ~warmup
+        ~exact:(fun () -> Dls.Brute.best_fifo ~fast:false ~prune:false platform)
+        ~fast:(fun () -> Dls.Brute.best_fifo platform)
     in
     if fast.median_s > exact.median_s then begin
       Printf.eprintf

@@ -1256,10 +1256,12 @@ let check_cmd =
     let regimes =
       match regime with Some r -> [ r ] | None -> Check.Fuzz.all_regimes
     in
+    let outcome = ref Check.Fuzz.no_repair in
     let ok =
       List.for_all
         (fun r ->
-          let failures = Check.Fuzz.run_resolve_matrix ~jobs ~count r in
+          let failures, o = Check.Fuzz.run_resolve_matrix ~jobs ~count r in
+          outcome := Check.Fuzz.add_repair !outcome o;
           let label =
             Printf.sprintf "fuzz-resolve %s (%d deltas)"
               (Check.Fuzz.regime_to_string r) count
@@ -1281,8 +1283,7 @@ let check_cmd =
                    fs)))
         regimes
     in
-    Format.printf "resolve:@.%a@." Dls.Lp_model.pp_resolve_stats
-      (Dls.Lp_model.resolve_stats ());
+    Format.printf "resolve:@.%a@." Dls.Lp_model.pp_resolve_stats !outcome;
     ok
   in
   let check_platform platform =

@@ -509,8 +509,20 @@ let gen_delta rng regime platform =
   | 1 -> [ shape_preserving (); shape_preserving () ]
   | _ -> [ shape_preserving () ]
 
+let no_repair =
+  { Dls.Lp_model.probes = 0; repair_wins = 0; repair_fallbacks = 0; repair_pivots = 0 }
+
+let add_repair (a : Dls.Lp_model.resolve_stats) (b : Dls.Lp_model.resolve_stats) =
+  {
+    Dls.Lp_model.probes = a.probes + b.probes;
+    repair_wins = a.repair_wins + b.repair_wins;
+    repair_fallbacks = a.repair_fallbacks + b.repair_fallbacks;
+    repair_pivots = a.repair_pivots + b.repair_pivots;
+  }
+
 let check_resolve platform delta =
   let errs = ref [] in
+  let outcome = ref no_repair in
   let add fmt = Printf.ksprintf (fun s -> errs := s :: !errs) fmt in
   let rho (sol : Dls.Lp_model.solved) = sol.Dls.Lp_model.rho in
   let arrays_equal a b =
@@ -524,7 +536,8 @@ let check_resolve platform delta =
     match
       Dls.Lp_model.solve_from_neighbor Dls.Lp_model.One_port scenario' base
     with
-    | Some repaired ->
+    | Some (repaired, pivots) ->
+      outcome := { no_repair with probes = 1; repair_wins = 1; repair_pivots = pivots };
       (* A repaired answer carries the full certified-optimum guarantee:
          bit-identical to the exact pipeline, and independently
          certified. *)
@@ -542,6 +555,7 @@ let check_resolve platform delta =
       | Ok () -> ()
       | Error msgs -> List.iter (fun m -> add "repaired: certificate: %s" m) msgs)
     | None -> (
+      outcome := { no_repair with probes = 1; repair_fallbacks = 1 };
       (* Repair declined — the fallback the cache takes must agree with
          the exact answer (it is the certified fast pipeline). *)
       let fast = Dls.Solve.solve_exn ~mode:`Fast scenario' in
@@ -551,7 +565,7 @@ let check_resolve platform delta =
           (Q.to_string (rho exact));
       if not (arrays_equal fast.Dls.Lp_model.alpha exact.Dls.Lp_model.alpha)
       then add "fallback loads differ from exact after declined repair")));
-  List.rev !errs
+  (List.rev !errs, !outcome)
 
 let run_resolve_matrix ?jobs ?(count = 100) ?(seed = 13) regime =
   let check i =
@@ -559,15 +573,17 @@ let run_resolve_matrix ?jobs ?(count = 100) ?(seed = 13) regime =
     let platform = gen_platform rng regime in
     let delta = gen_delta rng regime platform in
     match check_resolve platform delta with
-    | [] -> None
-    | messages ->
-      Some
-        {
-          r_index = i;
-          r_platform = Dls.Platform_io.to_string platform;
-          r_delta = Dls.Delta.to_spec delta;
-          r_messages = messages;
-        }
+    | [], outcome -> (None, outcome)
+    | messages, outcome ->
+      ( Some
+          {
+            r_index = i;
+            r_platform = Dls.Platform_io.to_string platform;
+            r_delta = Dls.Delta.to_spec delta;
+            r_messages = messages;
+          },
+        outcome )
   in
   let results = Parallel.Pool.run ?jobs check (Array.init count (fun i -> i)) in
-  List.filter_map Fun.id (Array.to_list results)
+  ( List.filter_map fst (Array.to_list results),
+    Array.fold_left (fun acc (_, o) -> add_repair acc o) no_repair results )

@@ -186,13 +186,30 @@ type resolve_failure = {
     a composed pair. *)
 val gen_delta : Random.State.t -> regime -> Dls.Platform.t -> Dls.Delta.t
 
+(** No probe, no win, no fallback, no pivots. *)
+val no_repair : Dls.Lp_model.resolve_stats
+
+(** [add_repair a b] sums two repair outcomes field by field. *)
+val add_repair :
+  Dls.Lp_model.resolve_stats -> Dls.Lp_model.resolve_stats -> Dls.Lp_model.resolve_stats
+
 (** [check_resolve platform delta] runs every assertion above for one
-    case; returns the discrepancies (empty = pass). *)
-val check_resolve : Dls.Platform.t -> Dls.Delta.t -> string list
+    case; returns the discrepancies (empty = pass) and the case's own
+    repair outcome: one probe, then a win with its repair pivots or a
+    fallback (all zero when the delta does not apply). *)
+val check_resolve :
+  Dls.Platform.t -> Dls.Delta.t -> string list * Dls.Lp_model.resolve_stats
 
 (** [run_resolve_matrix ?jobs ?count ?seed regime] fuzzes [count]
     (default 100) delta cases over a {!Parallel.Pool}; the case at index
     [i] depends only on [(seed, regime, i)].  Failures come back in
-    index order (empty = the matrix passes). *)
+    index order (empty = the matrix passes), with the sum of the cases'
+    repair outcomes — a function of [(seed, regime, count)] alone,
+    unlike the process-wide {!Dls.Lp_model.resolve_stats}, which the
+    shared cache's neighbour probes also move. *)
 val run_resolve_matrix :
-  ?jobs:int -> ?count:int -> ?seed:int -> regime -> resolve_failure list
+  ?jobs:int ->
+  ?count:int ->
+  ?seed:int ->
+  regime ->
+  resolve_failure list * Dls.Lp_model.resolve_stats

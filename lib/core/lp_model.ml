@@ -347,7 +347,8 @@ let pp_resolve_stats fmt s =
    terminal basis, which must then pass the same exact certification.
    [None] means "no certified answer this way" — never a wrong one —
    and the caller falls back to the ordinary pipeline, which keeps
-   every cached answer bit-identical to [solve]'s by construction. *)
+   every cached answer bit-identical to [solve]'s by construction.  A
+   certified answer comes with the repair pivots it took. *)
 let solve_from_neighbor model s (near : solved) =
   bump neighbor_probes 1;
   let p = problem model s in
@@ -359,7 +360,7 @@ let solve_from_neighbor model s (near : solved) =
       | Ok solved ->
         bump repair_wins 1;
         bump repair_pivot_count pivots;
-        Some solved
+        Some (solved, pivots)
       | Error _ -> None)
   in
   match certified ~pivots:0 near.basis with
@@ -403,7 +404,7 @@ let solve_cached ?model ?(fast = true) ?warm s =
         | None -> full ()
         | Some (_, near) -> (
           match solve_from_neighbor model_v s near with
-          | Some solved -> solved
+          | Some (solved, _) -> solved
           | None ->
             bump repair_fallbacks 1;
             full ()))

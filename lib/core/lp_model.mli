@@ -134,10 +134,12 @@ val scenario_key_distance : string -> string -> int option
     {e repair} ({!Simplex.Float_solver.repair}) pivots the stale basis
     back to optimality, and the terminal basis must pass the same exact
     certification.  A [Some] answer is therefore bit-identical to
-    {!solve}'s in [rho]/[alpha]/[idle]; [None] means "no certified
-    shortcut" — fall back to a full pipeline — never "no optimum".
-    Counter movements land in {!resolve_stats}. *)
-val solve_from_neighbor : model -> Scenario.t -> solved -> solved option
+    {!solve}'s in [rho]/[alpha]/[idle], and comes paired with the
+    repair pivots spent (0 when [near.basis] certified directly);
+    [None] means "no certified shortcut" — fall back to a full
+    pipeline — never "no optimum".  Counter movements land in
+    {!resolve_stats}. *)
+val solve_from_neighbor : model -> Scenario.t -> solved -> (solved * int) option
 
 (** [cache_stats ()] is a snapshot of the solve cache's hit/miss/eviction
     counters. *)

@@ -50,33 +50,39 @@ let solve_result p =
   | Infeasible -> Result.Error Error_infeasible
 
 (* ------------------------------------------------------------------ *)
-(* Restricted exact factorization of a candidate basis.
+(* Basis-block certificate.
 
    [certify_basis] answers one question: is [basis] the unique optimal
    basis of [p]?  If so it returns the (unique) optimal solution without
-   running the simplex method at all: one forward elimination onto the
-   basis columns replaces Bland's pivot sequence.
+   running the simplex method at all: one exact solve on the basis
+   columns replaces Bland's pivot sequence.
 
-   It runs on the integer rows every exact solve of [p] starts from
-   ({!Exact.standard_form}: each constraint row [[A | I | b]] and the
-   objective row, over their own positive denominators).  Scaling a row
-   by a positive constant changes neither [x_B] nor any reduced-cost
-   sign, so the denominators drop out.  Eliminating the objective row
-   along with the constraint rows solves [B x_B = b] and prices every
-   column against the duals of [B^T y = c_B] in the same pass.  Two
-   eliminations share that shape:
-   - the Montante/Bareiss one-step method on native ints, where every
-     intermediate value is an integer minor of the matrix, every
-     division is exact and no gcd is taken — the common case, while the
-     minors stay below 2^30;
-   - once they do not, the row kernel's own update (each row scaled by
-     the pivot's cofactor, its content divided out), whose values are
-     those of the rational tableau and stay as small as it does; a float
-     pre-screen first rejects hopeless bases for the cost of a few
-     hundred float ops.
-   A singular basis or a failed tolerance simply rejects it (returns
-   [None]), and the caller falls back to the canonical cold solve — so
-   the routine can only ever trade speed, never correctness.
+   The standard form of an all-[<=] program is [[A | I | b]].  A basic
+   column with a single non-zero entry and a zero objective {e covers}
+   its row: every basic slack does, and so does every basic idle
+   variable of the scheduling LPs.  With the covered rows [C] and their
+   covering columns [S] ordered last, the basis matrix is block
+   lower-triangular,
+
+     B = [ B_UD  0 ]    U: the uncovered rows
+         [ B_CD  S ]    D: the other basic columns
+
+   with [S] diagonal; two singletons on one row make [B] singular.  So
+   [B] is non-singular exactly when the dense block [B_UD] is, the duals
+   of the covered rows are 0 ([S y_C = c_S = 0]), and the others solve
+   [B_UD^T y_U = c_D].  The certificate prices first and solves for the
+   primal last, so an alternate optimum rejects after one block solve:
+   - [B_UD^T y_U = c_D], then every non-basic column's reduced cost
+     [c_j - y_U . A_Uj] as one integer dot product;
+   - [B_UD x_D = b_U], then each covered row solved for its covering
+     variable, and [x_B >= 0].
+   Both block solves are fraction-free (Bareiss) on {!Numeric.Integer},
+   over the uncovered rows scaled to integers: scaling a row by a
+   positive constant changes neither [x_B] nor any reduced cost, and
+   scaling the objective changes no reduced-cost sign.  A singular basis
+   or a failed test simply rejects it (returns [None]), and the caller
+   falls back to the canonical cold solve — so the routine can only
+   ever trade speed, never correctness.
 
    Acceptance requires, in exact arithmetic:
    - primal feasibility: [B x_B = b] with [x_B >= 0];
@@ -99,172 +105,48 @@ exception Cert_reject
 module I = Numeric.Integer
 module K = Row_kernel.Exact
 
-(* Forward elimination onto the columns [basis] of [m] constraint rows
-   and, last, the objective row.  Pivot [k] is taken on the first
-   unclaimed constraint row with a non-zero entry in column [basis.(k)];
-   [step] then updates the rows not yet claimed, the objective row
-   always among them.  Pivot rows freeze once used, so they form an
-   upper-triangular system [U x_B = b'] over the basis columns, and the
-   objective row ends as a positive multiple of the reduced costs
-   (Bareiss: [det] times them).
-
-   Returns [rowof], [rowof.(k)] the row of pivot [k]; raises
-   [Cert_reject] on a singular basis. *)
-let pivot_rows ~m basis ~nonzero ~step =
-  let rowof = Array.make m (-1) in
-  let claimed = Array.make (m + 1) false in
-  Array.iteri
-    (fun k col ->
-      let r = ref 0 in
-      while !r < m && (claimed.(!r) || not (nonzero !r col)) do
-        incr r
-      done;
-      if !r = m then raise Cert_reject;
-      rowof.(k) <- !r;
-      claimed.(!r) <- true;
-      step ~claimed ~r:!r ~col)
-    basis;
-  rowof
-
-(* Raised as soon as an operand of the native elimination reaches 2^30,
-   below which products and their difference cannot overflow. *)
-exception Too_big
-
-let below_2_30 x = (x + (1 lsl 30)) land lnot ((1 lsl 31) - 1) = 0
-
-(* One Bareiss step [a_ij := (piv a_ij - a_ik a_kj) / prev] on the
-   unclaimed rows.  [skip] marks the columns pivoted so far: they are
-   zero on every row still updated. *)
-let bareiss_step mat ~skip ~claimed ~r ~col ~prev =
-  let pr = mat.(r) in
-  let piv = pr.(col) in
-  if not (below_2_30 piv) then raise Too_big;
-  skip.(col) <- true;
-  Array.iteri
-    (fun i row ->
-      if not claimed.(i) then begin
-        let f = row.(col) in
-        if not (below_2_30 f) then raise Too_big;
-        for j = 0 to Array.length row - 1 do
-          let a = row.(j) and b = pr.(j) in
-          (* Zero stays zero where nothing is subtracted. *)
-          if not (skip.(j) || (a = 0 && (f = 0 || b = 0))) then begin
-            if not (below_2_30 a && below_2_30 b) then raise Too_big;
-            let v = (piv * a) - (f * b) in
-            row.(j) <- (if prev = 1 then v else v / prev)
-          end
-        done;
-        row.(col) <- 0
-      end)
-    mat
-
-(* The Bareiss certificate on native ints, for the [m + 1] kernel [rows]
-   of [width] columns (the objective row last, the right-hand side the
-   last column).  Returns the sign and the value of each basic
-   variable and the sign of each column's reduced cost; raises
-   [Too_big]. *)
-let bareiss_certificate ~m ~width rows basis =
-  let mat =
-    Array.map
-      (fun row ->
-        Array.init width (fun j ->
-            match I.to_int (K.entry row j) with
-            | v when below_2_30 v -> v
-            | _ | (exception Invalid_argument _) -> raise Too_big))
-      rows
-  in
-  let skip = Array.make width false in
-  let prev = ref 1 in
-  let rowof =
-    pivot_rows ~m basis
-      ~nonzero:(fun i col -> mat.(i).(col) <> 0)
-      ~step:(fun ~claimed ~r ~col ->
-        bareiss_step mat ~skip ~claimed ~r ~col ~prev:!prev;
-        prev := mat.(r).(col))
-  in
-  (* Back substitution through [U], on {!Numeric.Integer}:
+(* Fraction-free (Bareiss) solve of the square integer system whose
+   augmented rows are [a], right-hand side last; [a] is overwritten.
+   Every intermediate value is an integer minor of the input, so every
+   division is exact.  Returns [(det, xs)]: the solution is
+   [xs.(k) / det], [det] being the last pivot (the determinant, up to
+   the sign of the row swaps).  Raises [Cert_reject] when singular. *)
+let bareiss a =
+  let n = Array.length a in
+  let prev = ref I.one in
+  for k = 0 to n - 1 do
+    let r = ref k in
+    while !r < n && I.is_zero a.(!r).(k) do
+      incr r
+    done;
+    if !r = n then raise Cert_reject;
+    let pr = a.(!r) in
+    a.(!r) <- a.(k);
+    a.(k) <- pr;
+    let piv = pr.(k) in
+    for i = k + 1 to n - 1 do
+      let row = a.(i) in
+      let f = row.(k) in
+      for j = k + 1 to n do
+        row.(j) <- I.divexact (I.cross piv row.(j) f pr.(j)) !prev
+      done
+    done;
+    prev := piv
+  done;
+  (* Back substitution:
      [det x_k = (det b'_k - sum_{l > k} U_kl (det x_l)) / U_kk], exact
      since [det x_k] is an integer by Cramer's rule. *)
-  let det = I.of_int !prev in
-  let xs = Array.make m I.zero in
-  for k = m - 1 downto 0 do
-    let u = mat.(rowof.(k)) in
-    let acc = ref (I.mul det (I.of_int u.(width - 1))) in
-    for l = k + 1 to m - 1 do
-      acc := I.cross !acc I.one (I.of_int u.(basis.(l))) xs.(l)
+  let det = !prev in
+  let xs = Array.make n I.zero in
+  for k = n - 1 downto 0 do
+    let u = a.(k) in
+    let acc = ref (I.mul det u.(n)) in
+    for l = k + 1 to n - 1 do
+      acc := I.cross !acc I.one u.(l) xs.(l)
     done;
-    xs.(k) <- I.divexact !acc (I.of_int u.(basis.(k)))
+    xs.(k) <- I.divexact !acc u.(k)
   done;
-  let dsign = compare !prev 0 in
-  ( (fun k -> I.sign xs.(k) * dsign),
-    (fun k -> Q.make xs.(k) det),
-    fun j -> compare mat.(m).(j) 0 * dsign )
-
-(* The same elimination with the row kernel's update, on the rows
-   themselves ([total] is the right-hand-side column): each pivot row is
-   normalized to read 1 in its basis column, so back substitution runs
-   on the values directly. *)
-let row_certificate ~m ~total rows objective basis =
-  let rowof =
-    pivot_rows ~m basis
-      ~nonzero:(fun i col -> K.sign rows.(i) col <> 0)
-      ~step:(fun ~claimed ~r ~col ->
-        let pr = rows.(r) in
-        K.normalize pr ~col;
-        Array.iteri (fun i row -> if not claimed.(i) then K.eliminate row ~by:pr ~col) rows;
-        K.eliminate objective ~by:pr ~col)
-  in
-  let x = Array.make m Q.zero in
-  for k = m - 1 downto 0 do
-    let u = rows.(rowof.(k)) in
-    let acc = ref (K.value u total) in
-    for l = k + 1 to m - 1 do
-      if K.sign u basis.(l) <> 0 then acc := Q.sub !acc (Q.mul (K.value u basis.(l)) x.(l))
-    done;
-    x.(k) <- !acc
-  done;
-  ((fun k -> Q.sign x.(k)), Array.get x, K.sign objective)
-
-(* Small float LU solve used by the pre-screen.  Solves [a x = rhs],
-   overwriting both. *)
-let float_solve a x =
-  let m = Array.length x in
-  let piv_order = Array.init m Fun.id in
-  for k = 0 to m - 1 do
-    let best = ref k and best_mag = ref (Float.abs a.(piv_order.(k)).(k)) in
-    for i = k + 1 to m - 1 do
-      let mag = Float.abs a.(piv_order.(i)).(k) in
-      if mag > !best_mag then begin
-        best := i;
-        best_mag := mag
-      end
-    done;
-    if !best_mag < 1e-12 then raise Cert_reject;
-    let tmp = piv_order.(k) in
-    piv_order.(k) <- piv_order.(!best);
-    piv_order.(!best) <- tmp;
-    let pr = piv_order.(k) in
-    for i = k + 1 to m - 1 do
-      let ri = piv_order.(i) in
-      let f = a.(ri).(k) /. a.(pr).(k) in
-      if f <> 0.0 then begin
-        for j = k to m - 1 do
-          a.(ri).(j) <- a.(ri).(j) -. (f *. a.(pr).(j))
-        done;
-        x.(ri) <- x.(ri) -. (f *. x.(pr))
-      end
-    done
-  done;
-  let out = Array.make m 0.0 in
-  for k = m - 1 downto 0 do
-    let r = piv_order.(k) in
-    let s = ref x.(r) in
-    for j = k + 1 to m - 1 do
-      s := !s -. (a.(r).(j) *. out.(j))
-    done;
-    out.(k) <- !s /. a.(r).(k)
-  done;
-  out
+  (det, xs)
 
 let certify_basis (p : Problem.t) ~basis =
   let n = Problem.num_vars p in
@@ -282,25 +164,18 @@ let certify_basis (p : Problem.t) ~basis =
            cs)
     then raise Cert_reject;
     if Array.length basis <> m then raise Cert_reject;
-    let seen = Array.make (n + m) false in
+    let basic = Array.make (n + m) false in
     Array.iter
       (fun j ->
-        if j < 0 || j >= n + m || seen.(j) then raise Cert_reject;
-        seen.(j) <- true)
+        if j < 0 || j >= n + m || basic.(j) then raise Cert_reject;
+        basic.(j) <- true)
       basis;
-    let basic = seen in
     (* Column [j] of the standard-form matrix, at row [i]. *)
     let col i j =
       if j < n then cs.(i).Problem.coeffs.(j)
       else if j - n = i then Q.one
       else Q.zero
     in
-    let sign_q =
-      match p.Problem.direction with
-      | Problem.Maximize -> Q.one
-      | Problem.Minimize -> Q.minus_one
-    in
-    let obj j = if j < n then Q.mul sign_q p.Problem.objective.(j) else Q.zero in
     (* A zero reduced cost is tolerable only on an exact duplicate of a
        basic zero-objective column (see the header): anything else opens
        a genuine alternate-optimum direction and rejects the basis. *)
@@ -316,65 +191,118 @@ let certify_basis (p : Problem.t) ~basis =
              eq 0)
            basis
     in
-    (* Infeasible, suboptimal or sitting on alternate optima in floats:
-       not worth the exact elimination. *)
-    let float_screen () =
-      let fa = Array.make_matrix m (n + m) 0.0 in
-      for i = 0 to m - 1 do
-        let coeffs = cs.(i).Problem.coeffs in
-        for j = 0 to n - 1 do
-          fa.(i).(j) <- Q.to_float coeffs.(j)
-        done;
-        fa.(i).(n + i) <- 1.0
-      done;
-      let fc = Array.init (n + m) (fun j -> Q.to_float (obj j)) in
-      let fb = Array.make_matrix m m 0.0 and fbt = Array.make_matrix m m 0.0 in
-      for i = 0 to m - 1 do
-        for k = 0 to m - 1 do
-          fb.(i).(k) <- fa.(i).(basis.(k));
-          fbt.(k).(i) <- fa.(i).(basis.(k))
-        done
-      done;
-      let fx =
-        float_solve fb (Array.map (fun (c : Problem.constr) -> Q.to_float c.Problem.rhs) cs)
+    (* -------- covered rows and the dense block -------- *)
+    (* The row of structural column [j]'s only non-zero entry, or -1
+       when it has several; an all-zero column makes [B] singular. *)
+    let singleton_row j =
+      let rec go i found =
+        if i = m then (if found < 0 then raise Cert_reject else found)
+        else if Q.sign cs.(i).Problem.coeffs.(j) = 0 then go (i + 1) found
+        else if found >= 0 then -1
+        else go (i + 1) i
       in
-      Array.iter (fun v -> if v < -1e-7 then raise Cert_reject) fx;
-      let fy = float_solve fbt (Array.map (fun k -> fc.(k)) basis) in
-      for j = 0 to n + m - 1 do
-        if not basic.(j) then begin
-          let r = ref fc.(j) in
-          for i = 0 to m - 1 do
-            let a = fa.(i).(j) in
-            if a <> 0.0 then r := !r -. (fy.(i) *. a)
-          done;
-          (* Near-zero reduced costs mean alternate optima (or a wrong
-             basis): no certificate is possible, except on a twin column
-             whose exact reduced cost is structurally zero. *)
-          if !r > -1e-7 && not (duplicate_of_basic j) then raise Cert_reject
-        end
-      done
+      go 0 (-1)
     in
-    (* -------- exact certificate -------- *)
-    let rows, objective = Exact.standard_form p in
-    let x_sign, x_value, reduced_sign =
-      try
-        bareiss_certificate ~m ~width:(n + m + 1) (Array.append rows [| objective |]) basis
-      with Too_big ->
-        float_screen ();
-        row_certificate ~m ~total:(n + m) rows objective basis
-    in
-    for k = 0 to m - 1 do
-      if x_sign k < 0 then raise Cert_reject
+    (* [cover.(i)]: the basis position covering row [i], or -1. *)
+    let cover = Array.make m (-1) in
+    let dense = ref [] in
+    for k = m - 1 downto 0 do
+      let j = basis.(k) in
+      let i = if j >= n then j - n else if zero_obj j then singleton_row j else -1 in
+      if i < 0 then dense := k :: !dense
+      else if cover.(i) >= 0 then raise Cert_reject
+      else cover.(i) <- k
     done;
+    (* Every dense column is structural (a slack always covers). *)
+    let dense = Array.of_list !dense in
+    let a = Array.length dense in
+    let uncovered = Array.make a 0 and upos = Array.make m (-1) in
+    let next = ref 0 in
+    for i = 0 to m - 1 do
+      if cover.(i) < 0 then begin
+        uncovered.(!next) <- i;
+        upos.(i) <- !next;
+        incr next
+      end
+    done;
+    (* The uncovered rows [A_i | b_i] and the objective over integers. *)
+    let rows =
+      Array.map
+        (fun i ->
+          let c = cs.(i) in
+          K.of_rationals (Array.append c.Problem.coeffs [| c.Problem.rhs |]))
+        uncovered
+    in
+    let obj = K.of_rationals p.Problem.objective in
+    (* -------- duals, then pricing -------- *)
+    let det_y, ys =
+      bareiss
+        (Array.map
+           (fun k ->
+             let j = basis.(k) in
+             Array.init (a + 1) (fun t ->
+                 if t < a then K.entry rows.(t) j else K.entry obj j))
+           dense)
+    in
+    (* Reduced costs are computed for the maximized objective. *)
+    let dsign =
+      I.sign det_y
+      * match p.Problem.direction with Problem.Maximize -> 1 | Problem.Minimize -> -1
+    in
     for j = 0 to n + m - 1 do
       if not basic.(j) then begin
-        let s = reduced_sign j in
+        let s =
+          if j >= n then
+            (* A slack's reduced cost is minus its row's dual. *)
+            let t = upos.(j - n) in
+            if t < 0 then 0 else -I.sign ys.(t) * dsign
+          else begin
+            let acc = ref (I.mul det_y (K.entry obj j)) in
+            for t = 0 to a - 1 do
+              let v = K.entry rows.(t) j in
+              if not (I.is_zero v) then acc := I.cross !acc I.one ys.(t) v
+            done;
+            I.sign !acc * dsign
+          end
+        in
         if s > 0 || (s = 0 && not (duplicate_of_basic j)) then raise Cert_reject
       end
     done;
+    (* -------- primal -------- *)
+    let det_x, xs =
+      bareiss
+        (Array.map
+           (fun row ->
+             Array.init (a + 1) (fun r ->
+                 K.entry row (if r < a then basis.(dense.(r)) else n)))
+           rows)
+    in
+    (* [x.(k)]: the value of basis position [k]'s variable. *)
+    let x = Array.make m Q.zero in
+    Array.iteri
+      (fun r k ->
+        if I.sign xs.(r) * I.sign det_x < 0 then raise Cert_reject;
+        x.(k) <- Q.make xs.(r) det_x)
+      dense;
+    Array.iteri
+      (fun i k ->
+        if k >= 0 then begin
+          let c = cs.(i) in
+          let acc = ref c.Problem.rhs in
+          Array.iter
+            (fun kd ->
+              let v = c.Problem.coeffs.(basis.(kd)) in
+              if Q.sign v <> 0 then acc := Q.sub !acc (Q.mul v x.(kd)))
+            dense;
+          let j = basis.(k) in
+          let v = if j >= n then !acc else Q.div !acc c.Problem.coeffs.(j) in
+          if Q.sign v < 0 then raise Cert_reject;
+          x.(k) <- v
+        end)
+      cover;
     (* -------- assemble the unique optimum -------- *)
     let point = Array.make n Q.zero in
-    Array.iteri (fun k j -> if j < n then point.(j) <- x_value k) basis;
+    Array.iteri (fun k j -> if j < n then point.(j) <- x.(k)) basis;
     let value = ref Q.zero in
     Array.iteri
       (fun j c ->

@@ -57,27 +57,30 @@ val solve : Problem.t -> outcome
 val solve_with_basis : Problem.t -> basis:int array -> warm_outcome
 
 (** [certify_basis p ~basis] checks whether [basis] is the {e unique}
-    optimal basis of [p] using a single exact factorization restricted
-    to the basis columns — one fraction-free elimination of the integer
-    constraint and objective rows, which solves for the basic values
-    and prices every column in the same pass — instead of tableau
-    pivoting.  [Some sol] is returned only when, in exact
-    arithmetic, the basis is primal feasible and every non-basic column
-    has a strictly negative reduced cost — tolerating a reduced cost of
-    exactly zero only on a column that duplicates (coefficients and zero
-    objective) a basic column, since the exchange it permits moves
-    weight strictly within the duplicate pair.  [sol] is then optimal
-    and bit-identical to {!solve}'s answer in the value and in every
-    point coordinate outside such pairs (in particular in every
-    coordinate with a non-zero objective), with [pivots = 0].
+    optimal basis of [p] with one exact solve on the basis columns
+    instead of tableau pivoting.  A basic column with a single non-zero
+    entry and a zero objective (a basic slack; in the scheduling LPs
+    also a basic idle variable) covers its row: covered rows need no
+    elimination and have dual 0.  The remaining square block — the other
+    basic columns against the uncovered rows, scaled to integers — is
+    solved fraction-free on {!Numeric.Integer}, first transposed for the
+    duals, which price every non-basic column, then for the basic
+    values, from which the covered rows are back-substituted.
+    [Some sol] is returned only when, in exact arithmetic, the basis is
+    primal feasible and every non-basic column has a strictly negative
+    reduced cost — tolerating a reduced cost of exactly zero only on a
+    column that duplicates (coefficients and zero objective) a basic
+    column, since the exchange it permits moves weight strictly within
+    the duplicate pair.  [sol] is then optimal and bit-identical to
+    {!solve}'s answer in the value and in every point coordinate outside
+    such pairs (in particular in every coordinate with a non-zero
+    objective), with [pivots = 0].
 
     [None] means "no certificate", never "no optimum": the basis may be
-    wrong, the optimum non-unique, or the problem shape unsupported
-    (only all-[<=] programs with non-negative right-hand sides are
-    handled).
-    Callers must fall back to {!solve}.  When the elimination outgrows
-    native ints, a cheap float screen rejects hopeless bases before any
-    multi-precision arithmetic is spent. *)
+    wrong or singular, the optimum non-unique, or the problem shape
+    unsupported (only all-[<=] programs with non-negative right-hand
+    sides are handled).  Callers must fall back to {!solve}.  An
+    alternate optimum is rejected after the dual solve alone. *)
 val certify_basis : Problem.t -> basis:int array -> solution option
 
 (** [solve_result p] is {!solve} in [result] form. *)

@@ -171,10 +171,6 @@ module Make (K : Row_kernel.S) = struct
     Array.iteri (fun j v -> c.(j) <- (if maximize then v else Q.neg v)) p.Problem.objective;
     { t; n; n_slack; n_art; maximize; phase2 = K.of_rationals c }
 
-  let standard_form p =
-    let pr = prepare ~max_pivots:0 p in
-    (pr.t.rows, pr.phase2)
-
   let finish pr =
     let t = pr.t in
     let point = Array.make pr.n K.zero in

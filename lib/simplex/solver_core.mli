@@ -71,15 +71,6 @@ module Make (K : Row_kernel.S) : sig
   val solve_with_basis :
     ?max_pivots:int -> Problem.t -> basis:int array -> warm_outcome
 
-  (** [standard_form p] is the tableau every solve of [p] starts from:
-      one row per constraint — oriented to a non-negative right-hand
-      side, then its slack and artificial columns, then the right-hand
-      side — and the phase-2 objective row over the same columns,
-      maximized (negated for a minimization).  With all constraints
-      [<=] and right-hand sides non-negative the layout is
-      [[A | I | b]], column [n + i] being row [i]'s slack. *)
-  val standard_form : Problem.t -> K.row array * K.row
-
   (** [repair ?max_pivots p ~basis] warm-{e repairs} a candidate basis
       that need not be primally feasible for [p] — the typical state of
       a neighbouring problem's optimal basis after a small parameter

@@ -357,7 +357,7 @@ let resolve_matrix_case regime =
     Printf.sprintf "resolve matrix %s (100 deltas)" (Fuzz.regime_to_string regime)
   in
   let run () =
-    match Fuzz.run_resolve_matrix ~count:100 regime with
+    match fst (Fuzz.run_resolve_matrix ~count:100 regime) with
     | [] -> ()
     | f :: _ as fs ->
       Alcotest.failf "%d delta case(s) failed; first (index %d, %s, delta %s): %s"
@@ -370,9 +370,15 @@ let resolve_matrix_case regime =
   Alcotest.test_case name `Slow run
 
 let test_resolve_matrix_reproducible () =
-  let a = Fuzz.run_resolve_matrix ~jobs:1 ~count:20 ~seed:5 Fuzz.Small_z in
-  let b = Fuzz.run_resolve_matrix ~jobs:4 ~count:20 ~seed:5 Fuzz.Small_z in
-  Alcotest.(check int) "same failure count" (List.length a) (List.length b)
+  let a, ra = Fuzz.run_resolve_matrix ~jobs:1 ~count:20 ~seed:5 Fuzz.Small_z in
+  let b, rb = Fuzz.run_resolve_matrix ~jobs:4 ~count:20 ~seed:5 Fuzz.Small_z in
+  Alcotest.(check int) "same failure count" (List.length a) (List.length b);
+  (* The repair outcomes are the cases' own, not the process-wide
+     counters the shared cache also moves: equal at any [jobs]. *)
+  Alcotest.(check bool) "same repair outcomes" true (ra = rb);
+  Alcotest.(check int) "one probe per case" 20 ra.Dls.Lp_model.probes;
+  Alcotest.(check int) "each probe wins or falls back" 20
+    (ra.Dls.Lp_model.repair_wins + ra.Dls.Lp_model.repair_fallbacks)
 
 (* A tiny nudge against a solved base must be answered by the repair
    path itself — certify-first or a few dual pivots — not the fallback,
@@ -386,7 +392,7 @@ let test_repair_wins_on_nudge () =
   Dls.Lp_model.reset_resolve_stats ();
   match Dls.Lp_model.solve_from_neighbor Dls.Lp_model.One_port s' base with
   | None -> Alcotest.fail "repair declined a 10% compute nudge"
-  | Some repaired ->
+  | Some (repaired, _) ->
     Alcotest.(check bool) "identical rho" true
       (Q.equal repaired.Dls.Lp_model.rho exact.Dls.Lp_model.rho);
     Alcotest.(check bool) "identical loads" true

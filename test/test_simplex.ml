@@ -643,6 +643,212 @@ let prop_certify_float_basis =
              | _ -> false))
          | _ -> true))
 
+(* A rational reference for [certify_basis], sharing none of its code:
+   plain Gauss on [B] and [B^T] ({!Simplex.Linear.solve}), every
+   non-basic column priced under the same twin rule, and [x_B >= 0].
+   [Some (value, point)] exactly when the basis is certifiable. *)
+let reference_certificate (p : P.t) basis =
+  let n = P.num_vars p and m = P.num_constraints p in
+  let cs = p.P.constraints in
+  let columns = n + m in
+  let in_range = Array.for_all (fun j -> 0 <= j && j < columns) basis in
+  let distinct =
+    List.length (List.sort_uniq compare (Array.to_list basis)) = Array.length basis
+  in
+  if
+    Array.length basis <> m || (not in_range) || (not distinct)
+    || not
+         (Array.for_all (fun (c : P.constr) -> c.P.relation = P.Le && Q.sign c.P.rhs >= 0) cs)
+  then None
+  else
+    let col i j = if j < n then cs.(i).P.coeffs.(j) else if j - n = i then Q.one else Q.zero in
+    let cost j =
+      if j >= n then Q.zero
+      else
+        match p.P.direction with
+        | P.Maximize -> p.P.objective.(j)
+        | P.Minimize -> Q.neg p.P.objective.(j)
+    in
+    let b = Array.init m (fun i -> Array.init m (fun k -> col i basis.(k))) in
+    let bt = Array.init m (fun k -> Array.init m (fun i -> col i basis.(k))) in
+    match
+      ( Simplex.Linear.solve b (Array.map (fun (c : P.constr) -> c.P.rhs) cs),
+        Simplex.Linear.solve bt (Array.map cost basis) )
+    with
+    | Some x, Some y ->
+      let zero_obj j = j >= n || Q.sign p.P.objective.(j) = 0 in
+      let twin j =
+        zero_obj j
+        && Array.exists
+             (fun k ->
+               k <> j && zero_obj k && List.for_all (fun i -> Q.equal (col i k) (col i j)) (List.init m Fun.id))
+             basis
+      in
+      let priced j =
+        Array.mem j basis
+        ||
+        let d = ref (cost j) in
+        for i = 0 to m - 1 do
+          d := Q.sub !d (Q.mul y.(i) (col i j))
+        done;
+        Q.sign !d < 0 || (Q.sign !d = 0 && twin j)
+      in
+      if Array.for_all (fun v -> Q.sign v >= 0) x && List.for_all priced (List.init columns Fun.id)
+      then begin
+        let point = Array.make n Q.zero in
+        Array.iteri (fun k j -> if j < n then point.(j) <- x.(k)) basis;
+        Some (P.objective_value p point, point)
+      end
+      else None
+    | _ -> None
+
+(* [certify_basis] certifies exactly when the reference does, with the
+   same value and the same point; the message names the disagreement. *)
+let certificate_disagreement p basis =
+  match (S.certify_basis p ~basis, reference_certificate p basis) with
+  | None, None -> None
+  | Some s, Some (v, x) ->
+    if Q.equal s.S.value v && Array.for_all2 Q.equal s.S.point x && s.S.pivots = 0
+    then None
+    else Some "certified a different value or point"
+  | Some _, None -> Some "certified a basis the reference declines"
+  | None, Some _ -> Some "declined a basis the reference certifies"
+
+let check_basis_agrees name p basis =
+  match certificate_disagreement p basis with
+  | None -> ()
+  | Some msg ->
+    Alcotest.failf "%s: basis [%s]: %s" name
+      (String.concat ";" (Array.to_list (Array.map string_of_int basis)))
+      msg
+
+(* [gen_problem] in the shape the certificate supports (every row [<=],
+   right-hand sides made non-negative), with a zero-objective singleton
+   column appended on some rows, as the scheduling LPs' idle variables,
+   so bases with covered rows are common. *)
+let gen_le_problem =
+  let open QCheck2.Gen in
+  let* p = gen_problem in
+  let m = P.num_constraints p in
+  let* idle =
+    array_size (return m) (oneofl [ None; Some Q.one; Some Q.half; Some (Q.of_int 2) ])
+  in
+  let extra = List.filter_map (fun i -> Option.map (fun s -> (i, s)) idle.(i)) (List.init m Fun.id) in
+  let objective = Array.append p.P.objective (Array.make (List.length extra) Q.zero) in
+  let constraints =
+    List.mapi
+      (fun i (c : P.constr) ->
+        let tail = List.map (fun (r, s) -> if r = i then s else Q.zero) extra in
+        P.constr (Array.append c.P.coeffs (Array.of_list tail)) P.Le (Q.abs c.P.rhs))
+      (Array.to_list p.P.constraints)
+  in
+  return (P.make p.P.direction objective constraints)
+
+(* The bases worth trying on [p]: the cold solve's, the float solver's,
+   one random exchange from the cold basis and one random basis. *)
+let candidate_bases rng p =
+  let columns = P.num_vars p + P.num_constraints p in
+  let m = P.num_constraints p in
+  let random () =
+    let cols = Array.init columns Fun.id in
+    for i = columns - 1 downto 1 do
+      let j = Random.State.int rng (i + 1) in
+      let t = cols.(i) in
+      cols.(i) <- cols.(j);
+      cols.(j) <- t
+    done;
+    Array.sub cols 0 m
+  in
+  let cold = match S.solve p with S.Optimal s -> [ s.S.basis ] | _ -> [] in
+  let float =
+    match Simplex.Float_solver.solve p with
+    | Simplex.Float_solver.Optimal f -> [ f.Simplex.Float_solver.basis ]
+    | _ -> []
+  in
+  let exchange =
+    List.map
+      (fun b ->
+        let b = Array.copy b in
+        b.(Random.State.int rng m) <- Random.State.int rng columns;
+        b)
+      cold
+  in
+  cold @ float @ exchange @ [ random () ]
+
+let prop_certify_complete gen name =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:400 ~name
+       QCheck2.Gen.(pair gen (int_bound 1_000_000))
+       (fun (p, seed) ->
+         let rng = Random.State.make [| seed |] in
+         List.for_all
+           (fun basis ->
+             match certificate_disagreement p basis with
+             | None -> true
+             | Some msg -> QCheck2.Test.fail_reportf "%s" msg)
+           (candidate_bases rng p)))
+
+let test_certify_fifo_lps () =
+  (* The scheduling LPs themselves: FIFO LP(2) at p = 3..12 in the three
+     return-ratio regimes, cold, float and exchanged bases. *)
+  let rng = Random.State.make [| 15 |] in
+  List.iter
+    (fun z ->
+      for p = 3 to 12 do
+        for _ = 1 to 3 do
+          let platform =
+            Dls.Platform.with_return_ratio ~z
+              (List.init p (fun _ ->
+                   ( Q.of_ints (2 + Random.State.int rng 8) 4,
+                     Q.of_ints (4 + Random.State.int rng 17) 2 )))
+          in
+          let s = Dls.Scenario.fifo_exn platform (Dls.Fifo.order platform) in
+          let lp = Dls.Lp_model.problem Dls.Lp_model.One_port s in
+          List.iter
+            (check_basis_agrees (Printf.sprintf "LP(2) p=%d z=%s" p (Q.to_string z)) lp)
+            (candidate_bases rng lp)
+        done
+      done)
+    [ Q.of_ints 1 2; Q.one; Q.of_int 2 ]
+
+let certify_case name p basis expect =
+  check_basis_agrees name p basis;
+  match (S.certify_basis p ~basis, expect) with
+  | Some s, Some value -> Alcotest.check rat (name ^ ": value") value s.S.value
+  | None, None -> ()
+  | Some _, None -> Alcotest.failf "%s: certified" name
+  | None, Some _ -> Alcotest.failf "%s: declined" name
+
+let test_certify_block_cases () =
+  (* min -x - y st x + 2y <= 4, 3x + y <= 6: optimum (8/5, 6/5). *)
+  let minimize =
+    lp P.Minimize [| -1; -1 |] [ ([| 1; 2 |], P.Le, 4); ([| 3; 1 |], P.Le, 6) ]
+  in
+  certify_case "minimize" minimize (S.solve_exn minimize).S.basis (Some (qq (-14) 5));
+  (* A zero-cost singleton [z] covers row 1 while its slack is
+     non-basic: the slack's reduced cost is 0, tolerated only when [z]
+     duplicates it (coefficient 1); with coefficient 2, [z] and the
+     slack trade off freely and no certificate exists. *)
+  let idle s =
+    P.make P.Maximize [| Q.one; Q.zero |]
+      [ P.constr [| Q.one; Q.zero |] P.Le Q.one; P.constr [| Q.half; s |] P.Le Q.one ]
+  in
+  certify_case "covering twin" (idle Q.one) [| 0; 1 |] (Some Q.one);
+  certify_case "covering non-twin" (idle (Q.of_int 2)) [| 0; 1 |] None;
+  (* Singleton columns with a non-zero objective belong to the dense
+     block: their rows carry non-zero duals, which price the slacks. *)
+  let boxes = lp P.Maximize [| 1; 1 |] [ ([| 1; 0 |], P.Le, 2); ([| 0; 1 |], P.Le, 3) ] in
+  certify_case "priced singletons" boxes [| 0; 1 |] (Some (q 5));
+  certify_case "priced singletons, swapped" boxes [| 1; 0 |] (Some (q 5));
+  (* Two zero-cost singletons on one row: [B] is singular.  With a cost
+     on the second, one singleton and [x] make the unique optimum. *)
+  let two obj =
+    lp P.Maximize obj [ ([| 1; 0; 0 |], P.Le, 1); ([| 0; 1; 2 |], P.Le, 1) ]
+  in
+  certify_case "two singletons on one row" (two [| 1; 0; 0 |]) [| 1; 2 |] None;
+  certify_case "one singleton, with x" (two [| 1; 0; -1 |]) [| 0; 1 |] (Some Q.one);
+  certify_case "costed pair on one row" (two [| 1; 0; -1 |]) [| 1; 2 |] None
+
 let () =
   Alcotest.run "simplex"
     [
@@ -708,6 +914,10 @@ let () =
           Alcotest.test_case "twin tolerance" `Quick test_certify_twin_tolerance;
           prop_certify_matches_cold;
           prop_certify_float_basis;
+          Alcotest.test_case "block cases" `Quick test_certify_block_cases;
+          Alcotest.test_case "FIFO LP(2) complete" `Quick test_certify_fifo_lps;
+          prop_certify_complete gen_problem "certificate complete on gen_problem";
+          prop_certify_complete gen_le_problem "certificate complete on <= problems";
         ] );
       ( "lp_file",
         [
